@@ -10,9 +10,14 @@ Usage, from the root of a checkout:
 Builds the program and the benchmark runner from source into
 .bench_build/perfbench (the first run builds; later runs reuse it), runs one
 workload, and prints the runner's JSON result object as the last line of
-standard output. Traced runs (--trace 1) also validate the Chrome trace they
-write with tools/check_trace.py. Exits non-zero when the build fails, a
-correctness check fails, or the trace is malformed.
+standard output. The result holds exactly the metrics BENCHMARK.json lists
+for the mode (end_to_end untraced, per_layer traced), in its units: a
+per-layer metric of a layer the workload bypasses reads 0, and the runner's
+other metrics are printed on a line before the result. Traced runs
+(--trace 1) also validate the Chrome trace they write with
+tools/check_trace.py. Exits non-zero when the build fails, a correctness
+check fails, an end-to-end metric is missing or not positive, a unit
+differs from the manifest's, or the trace is malformed.
 """
 
 import argparse
@@ -24,6 +29,7 @@ import sys
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 WORK_DIR = os.path.join(ROOT, ".bench_build", "run")
+MANIFEST = os.path.join(ROOT, "BENCHMARK.json")
 WORKLOADS = ("stream_day", "batch_day", "serve_live")
 
 
@@ -44,6 +50,36 @@ def build():
             log("build failed: " + " ".join(step))
             return False
     return True
+
+
+def conform(result, trace):
+    """Holds the runner's metrics to the manifest's list for the mode.
+
+    Returns the list of problems; an empty list means `result` now holds
+    exactly the listed metrics.
+    """
+    with open(MANIFEST) as f:
+        listed = json.load(f)["per_layer" if trace else "end_to_end"]
+    measured = result.get("metrics", {})
+    metrics, problems = {}, []
+    for entry in listed:
+        name, unit = entry["name"], entry["unit"]
+        got = measured.pop(name, None)
+        if got is None:
+            if trace:
+                got = {"value": 0, "unit": unit}  # a layer this workload bypasses
+            else:
+                problems.append(f"end-to-end metric {name} not measured")
+                continue
+        if got["unit"] != unit:
+            problems.append(f"{name} measured in {got['unit']}, listed in {unit}")
+        if not trace and not got["value"] > 0:
+            problems.append(f"end-to-end metric {name} is {got['value']}")
+        metrics[name] = got
+    if measured:
+        print("run.py: also measured: " + json.dumps(measured), flush=True)
+    result["metrics"] = metrics
+    return problems
 
 
 def run_workload(args):
@@ -72,6 +108,12 @@ def run_workload(args):
         return proc.returncode or 1
 
     code = proc.returncode
+    problems = conform(result, args.trace == 1)
+    for problem in problems:
+        log(problem)
+    if problems:
+        result["correct"] = False
+        code = code or 1
     if args.trace == 1 and code == 0:
         trace = os.path.join(WORK_DIR, f"{args.workload}-trace.json")
         checker = os.path.join(ROOT, "tools", "check_trace.py")

@@ -6,10 +6,12 @@
 // knee. Framing, the epoll loop, verdict lookups and async publication
 // carry the time here.
 //
-// End-to-end: freshness_ms.{p50,p90}, lookup_us.p50 (base rate, from each
-// request's due time), setup_s, peak_rss_mb (of the server process). The
-// ladder and serve_max_qps belong to the traced run. The generator uses a sender and a receiver thread; the server
-// process adds the feeder, the miner and the epoll loop.
+// End-to-end: freshness_ms.p50, latency_us.p50 (a lookup at the base rate,
+// from its due time), throughput_per_s (lookups answered per second of the
+// base phase), setup_s, peak_rss_mb (of the server process). The ladder
+// and serve_max_qps belong to the traced run. The generator uses a sender
+// and a receiver thread; the server process adds the feeder, the miner and
+// the epoll loop.
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -607,8 +609,10 @@ int run_serve_live(const Options& options) {
         smash::serve::encode_request(buffer, lookup_frame(id, hosts[requests[id].host]));
         ++k;
       }
-      connection.send_raw(buffer);
+      // Stamped before the write: a response can arrive before send_raw()
+      // returns, and a request must never be answered before it was sent.
       const std::int64_t at = now_ns();
+      connection.send_raw(buffer);
       for (auto i = batch_begin; i < k; ++i) requests[phase.first_id + i].sent_ns = at;
       sent.store(phase.first_id + k, std::memory_order_release);
     }
@@ -683,11 +687,13 @@ int run_serve_live(const Options& options) {
        static_cast<unsigned long long>(shed));
 
   std::vector<double> base_us, late_ms;
+  std::int64_t base_last_ns = phases[0].start_ns;
   for (std::uint64_t id = 0; id < scheduled; ++id) {
     const auto& r = requests[id];
     late_ms.push_back(static_cast<double>(r.sent_ns - r.due_ns) / 1e6);
     if (id < phases[0].step.scheduled() && r.recv_ns != 0) {
       base_us.push_back(static_cast<double>(r.recv_ns - r.due_ns) / 1e3);
+      base_last_ns = std::max(base_last_ns, r.recv_ns);
     }
   }
   double max_qps = 0.0;
@@ -729,8 +735,12 @@ int run_serve_live(const Options& options) {
   if (!options.trace) {
     report.metric("setup_s", server.setup_s, "s");
     report.metric("peak_rss_mb", server.rss_mb, "MiB");
-    report.timing("freshness_ms", freshness.freshness_ms, "ms", /*with_p90=*/true);
-    report.timing("lookup_us", base_us, "us");
+    report.metric("throughput_per_s",
+                  achieved_rate(base_us.size(),
+                                static_cast<double>(base_last_ns - phases[0].start_ns) / 1e9),
+                  "1/s");
+    report.timing("freshness_ms", freshness.freshness_ms, "ms");
+    report.timing("latency_us", base_us, "us");
     return report.finish();
   }
 

@@ -20,14 +20,9 @@ void Report::metric(const std::string& name, double value, const std::string& un
 }
 
 void Report::timing(const std::string& name, const std::vector<double>& samples,
-                    const std::string& unit, bool with_p90) {
+                    const std::string& unit) {
   const Summary summary = summarize(samples);
   metric(name + ".p50", summary.p50, unit);
-  if (with_p90) {
-    check(percentile_supported(summary.n, 0.9),
-          name + ": " + std::to_string(summary.n) + " samples are too few for p90");
-    metric(name + ".p90", percentile(samples, 0.9), unit);
-  }
   note("  %-34s n=%zu  p50 %.4g %s  highest supported p%g = %.4g  max %.4g",
        name.c_str(), summary.n, summary.p50, unit.c_str(), summary.tail_q * 100.0,
        summary.tail_value, summary.max);

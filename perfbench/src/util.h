@@ -31,11 +31,10 @@ struct Options {
 class Report {
  public:
   void metric(const std::string& name, double value, const std::string& unit);
-  // A timing: `name.p50` and, with `with_p90`, `name.p90` — which the
-  // percentile rule only allows from 100 samples on (fewer is a failed
-  // check). Prints the sample count and the highest supported percentile.
+  // A timing: the metric `name.p50`, plus a progress line with the sample
+  // count, the highest percentile the rule supports and the maximum.
   void timing(const std::string& name, const std::vector<double>& samples,
-              const std::string& unit, bool with_p90 = false);
+              const std::string& unit);
   // Records a failed correctness check (printed immediately).
   void check(bool ok, const std::string& what);
 
