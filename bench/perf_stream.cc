@@ -196,11 +196,7 @@ int main(int argc, char** argv) {
 
   std::vector<EpochId> first_flagged(scenario.campaigns.size(), 0);
   std::vector<bool> detected(scenario.campaigns.size(), false);
-  std::vector<std::string> full_digests;  // per-publication, identity oracle
   const auto probe = [&] {
-    if (const auto snap = engine.snapshot()) {
-      full_digests.push_back(snap->digest());
-    }
     for (std::size_t c = 0; c < scenario.campaigns.size(); ++c) {
       if (detected[c]) continue;
       if (service.lookup(scenario.campaigns[c].servers[0]).malicious) {
@@ -217,92 +213,6 @@ int main(int argc, char** argv) {
                                            scenario.whois);
   const FeedResult async_feed = feed_timed(async_engine, scenario, [] {});
   report_close_records(report, async_engine, async_feed, "stream_async");
-
-  // --- incremental delta re-mining: identity gate + re-mine speedup ---------
-  // The same feed through an incremental engine. This is a differential
-  // check, not just a benchmark: every published snapshot must be
-  // byte-identical (digest) to the full-mine sync run above, and the bench
-  // hard-fails on the first divergence.
-  {
-    auto inc_config = stream_config(smoke, /*async=*/false);
-    inc_config.incremental_mining = true;
-    smash::stream::StreamEngine inc_engine(inc_config, scenario.whois);
-    std::vector<std::string> inc_digests;
-    const FeedResult inc_feed = feed_timed(inc_engine, scenario, [&] {
-      if (const auto snap = inc_engine.snapshot()) {
-        inc_digests.push_back(snap->digest());
-      }
-    });
-    if (inc_digests.size() != full_digests.size()) {
-      std::fprintf(stderr,
-                   "incremental gate: %zu publications vs %zu full-mine\n",
-                   inc_digests.size(), full_digests.size());
-      return 1;
-    }
-    for (std::size_t i = 0; i < inc_digests.size(); ++i) {
-      if (inc_digests[i] != full_digests[i]) {
-        std::fprintf(stderr,
-                     "incremental gate: snapshot digest diverged at "
-                     "publication %zu/%zu\n",
-                     i + 1, inc_digests.size());
-        return 1;
-      }
-    }
-    report_close_records(report, inc_engine, inc_feed, "stream_incremental");
-
-    // Opt-in approximate mode (warm-start Louvain repair) on the same
-    // feed: no identity gate — it trades that contract away — but it must
-    // still detect, and its re-mine time shows what the exact mode pays
-    // for re-partitioning.
-    auto approx_config = inc_config;
-    approx_config.smash.delta_approximate_louvain = true;
-    smash::stream::StreamEngine approx_engine(approx_config, scenario.whois);
-    feed_timed(approx_engine, scenario, [] {});
-    if (approx_engine.snapshot() == nullptr ||
-        approx_engine.snapshot()->num_malicious_servers() == 0) {
-      std::fprintf(stderr,
-                   "incremental gate: approximate mode detected nothing\n");
-      return 1;
-    }
-    std::vector<double> approx_mine_ms;
-    for (const auto& r : approx_engine.close_records()) {
-      approx_mine_ms.push_back(r.mine_ms);
-    }
-
-    std::vector<double> full_mine_ms, inc_mine_ms;
-    for (const auto& r : engine.close_records()) full_mine_ms.push_back(r.mine_ms);
-    for (const auto& r : inc_engine.close_records()) inc_mine_ms.push_back(r.mine_ms);
-    const double speedup =
-        mean(inc_mine_ms) > 0.0 ? mean(full_mine_ms) / mean(inc_mine_ms) : 0.0;
-    const auto& delta = inc_engine.snapshot()->delta_stats();
-    report.add("stream_incremental/delta_vs_full", speedup,
-               {{"full_mine_mean_ms", mean(full_mine_ms)},
-                {"incremental_mine_mean_ms", mean(inc_mine_ms)},
-                {"approx_mine_mean_ms", mean(approx_mine_ms)},
-                {"full_mine_max_ms", max_of(full_mine_ms)},
-                {"incremental_mine_max_ms", max_of(inc_mine_ms)},
-                {"approx_mine_max_ms", max_of(approx_mine_ms)},
-                {"identical_publications", static_cast<double>(inc_digests.size())},
-                {"final_dims_delta", static_cast<double>(delta.dims_delta)},
-                {"final_dims_partition_reused",
-                 static_cast<double>(delta.dims_partition_reused)},
-                {"final_changed_items", static_cast<double>(delta.changed_items)},
-                {"final_total_items", static_cast<double>(delta.total_items)},
-                {"final_reused_pairs", static_cast<double>(delta.reused_pairs)},
-                {"final_rescored_pairs", static_cast<double>(delta.rescored_pairs)}});
-    std::printf(
-        "incremental  mine %0.1f ms mean vs %0.1f ms full (%0.2fx; approx "
-        "louvain %0.1f ms), %zu "
-        "publications byte-identical  (final close: %llu/%llu items changed, "
-        "%llu pairs reused, %llu dims delta-mined, %llu partitions reused)\n",
-        mean(inc_mine_ms), mean(full_mine_ms), speedup, mean(approx_mine_ms),
-        inc_digests.size(),
-        static_cast<unsigned long long>(delta.changed_items),
-        static_cast<unsigned long long>(delta.total_items),
-        static_cast<unsigned long long>(delta.reused_pairs),
-        static_cast<unsigned long long>(delta.dims_delta),
-        static_cast<unsigned long long>(delta.dims_partition_reused));
-  }
 
   // --- detection latency (sync engine) ---------------------------------------
   std::vector<double> latency_epochs;
@@ -473,9 +383,6 @@ int main(int argc, char** argv) {
     auto obs_config = stream_config(smoke, /*async=*/false);
     obs_config.fsync_policy = smash::stream::WalFsync::kOnSeal;
     obs_config.checkpoint_every_epochs = 6;
-    // Incremental mining on, so the dump carries the pipeline.delta.*
-    // series and the delta-path spans the CI obs smoke asserts on.
-    obs_config.incremental_mining = true;
 
     // Baseline: the identical durable feed with the registry detached (every
     // handle null) and the tracer disabled.
@@ -533,16 +440,10 @@ int main(int argc, char** argv) {
                            "durable on_seal run\n");
       return 1;
     }
-    const auto* delta_counter = snap.counter("pipeline.delta.changed_2lds_total");
-    if (delta_counter == nullptr || delta_counter->value == 0) {
-      std::fprintf(stderr, "obs gate: pipeline.delta.changed_2lds_total "
-                           "missing/zero on an incremental run\n");
-      return 1;
-    }
     for (const char* span_name :
          {"stream.ingest", "stream.epoch_seal", "stream.assemble",
-          "stream.mine", "mine.join", "mine.delta_join", "louvain.sweep",
-          "louvain.repair", "stream.publish", "wal.fsync", "ckpt.install"}) {
+          "stream.mine", "mine.join", "louvain.sweep", "stream.publish",
+          "wal.fsync", "ckpt.install"}) {
       if (trace_json.find(std::string("\"name\":\"") + span_name + "\"") ==
           std::string::npos) {
         std::fprintf(stderr, "obs gate: trace has no \"%s\" span\n", span_name);

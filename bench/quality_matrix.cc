@@ -1,15 +1,12 @@
 // Detection-quality matrix (docs/QUALITY.md): runs every scenario family
-// from src/synth/scenarios.h through the StreamEngine in full-re-mine AND
-// incremental-mining modes, requires their per-publication snapshot
-// digests to be identical (the verdict sets must agree exactly), scores
-// the publication trail against the scenario's ground truth
+// from src/synth/scenarios.h through the StreamEngine, scores the
+// publication trail against the scenario's ground truth
 // (src/synth/quality.h), and enforces per-scenario floors. Writes
 // BENCH_quality.json (JsonReporter shape) so detection quality is a
 // tracked trajectory alongside the perf benches.
 //
 // Usage: quality_matrix [out.json] [--smoke]
-// Exits non-zero when any scenario falls below its floor or the
-// incremental engine diverges from the full one.
+// Exits non-zero when any scenario falls below its floor.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -26,16 +23,11 @@ namespace {
 
 using namespace smash;
 
-stream::StreamConfig engine_config(const synth::ScenarioCase& scenario_case,
-                                   bool incremental) {
+stream::StreamConfig engine_config(const synth::ScenarioCase& scenario_case) {
   stream::StreamConfig config;
   config.epoch_seconds = scenario_case.epoch_seconds;
   config.window_epochs = scenario_case.window_epochs;
   config.smash.idf_threshold = scenario_case.idf_threshold;
-  if (incremental) {
-    config.incremental_mining = true;
-    config.reuse_shard_preprocess = true;
-  }
   return config;
 }
 
@@ -62,44 +54,13 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& scenario_case : cases) {
     const auto& scenario = scenario_case.scenario;
-    const auto full_config = engine_config(scenario_case, /*incremental=*/false);
-
-    double run_ms = 0.0;
-    synth::ScenarioRun full_run;
-    run_ms += bench::time_once_ms(
-        [&] { full_run = synth::run_scenario(scenario, full_config); });
-
-    synth::ScenarioRun incremental_run;
-    run_ms += bench::time_once_ms([&] {
-      incremental_run = synth::run_scenario(
-          scenario, engine_config(scenario_case, /*incremental=*/true));
+    synth::ScenarioRun run;
+    const double run_ms = bench::time_once_ms([&] {
+      run = synth::run_scenario(scenario, engine_config(scenario_case));
     });
 
-    // The identity gate: incremental mining must publish the exact verdict
-    // sets the full re-mine publishes, on every scenario shape.
-    bool identical = full_run.digests.size() == incremental_run.digests.size();
-    if (identical) {
-      for (std::size_t p = 0; p < full_run.digests.size(); ++p) {
-        if (full_run.digests[p] != incremental_run.digests[p]) {
-          identical = false;
-          std::fprintf(stderr,
-                       "FAIL %s: incremental snapshot %zu diverges from the "
-                       "full re-mine\n",
-                       scenario.name.c_str(), p);
-          break;
-        }
-      }
-    } else {
-      std::fprintf(stderr,
-                   "FAIL %s: publication counts differ (full %zu, "
-                   "incremental %zu)\n",
-                   scenario.name.c_str(), full_run.digests.size(),
-                   incremental_run.digests.size());
-    }
-    if (!identical) ok = false;
-
     const auto quality =
-        synth::evaluate_quality(scenario.name, full_run.observations,
+        synth::evaluate_quality(scenario.name, run.observations,
                                 scenario.truth, scenario_case.epoch_seconds);
     const auto floor = synth::floor_for(scenario.name);
     std::string why;
@@ -120,7 +81,7 @@ int main(int argc, char** argv) {
              util::format_fixed(quality.detection_latency_epochs_max, 1),
          std::to_string(quality.campaigns_detected) + "/" +
              std::to_string(quality.campaigns),
-         floored && identical ? "ok" : "FAIL"});
+         floored ? "ok" : "FAIL"});
 
     report.add("quality/" + scenario.name, run_ms,
                {{"precision", quality.precision},
@@ -138,9 +99,8 @@ int main(int argc, char** argv) {
                 {"campaigns", static_cast<double>(quality.campaigns)},
                 {"campaigns_detected",
                  static_cast<double>(quality.campaigns_detected)},
-                {"publications", static_cast<double>(full_run.digests.size())},
+                {"publications", static_cast<double>(run.observations.size())},
                 {"events", static_cast<double>(scenario.events.size())},
-                {"incremental_identical", identical ? 1.0 : 0.0},
                 {"floor_ok", floored ? 1.0 : 0.0},
                 {"smoke", smoke ? 1.0 : 0.0}});
   }
@@ -149,8 +109,7 @@ int main(int argc, char** argv) {
   if (!report.write(out_path)) return 1;
   std::printf("\nwrote %s (%zu scenarios)\n", out_path.c_str(), cases.size());
   if (!ok) {
-    std::fputs("quality_matrix: FAILED (floor violation or divergence)\n",
-               stderr);
+    std::fputs("quality_matrix: FAILED (floor violation)\n", stderr);
     return 1;
   }
   return 0;

@@ -11,6 +11,7 @@
 #include "graph/similarity_join.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/interner.h"
 #include "util/thread_pool.h"
 
 namespace smash::core {
@@ -236,8 +237,7 @@ std::vector<std::uint32_t> canonical_mining_order(const PreprocessResult& pre) {
 DimensionJoinInput build_dimension_join_input(
     Dimension dimension, const PreprocessResult& pre,
     const whois::Registry& registry, const SmashConfig& config,
-    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads,
-    const DimensionKeyNameSources* names) {
+    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads) {
   DimensionJoinInput input;
   input.dimension = dimension;
   input.canon_to_kept = std::move(canon_to_kept);
@@ -256,10 +256,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.client_edge_threshold;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr && names->clients != nullptr) {
-        const auto& client_names = names->clients->names();
-        input.key_names.assign(client_names.begin(), client_names.end());
-      }
       break;
 
     case Dimension::kIp:
@@ -268,10 +264,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.ip_edge_threshold;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr && names->ips != nullptr) {
-        const auto& ip_names = names->ips->names();
-        input.key_names.assign(ip_names.begin(), ip_names.end());
-      }
       break;
 
     case Dimension::kFile: {
@@ -288,23 +280,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.file_edge_threshold;
       input.postings_cap = config.file_postings_cap;
-      if (names != nullptr) {
-        // A class's canonical name is its lexicographically smallest member
-        // filename — a pure function of the class's membership, so any
-        // classifier merge or split (including ones caused by *other*
-        // servers' files) shows up as a changed key name.
-        std::vector<const std::string*> rep(classifier.num_classes(), nullptr);
-        const auto& files = pre.agg.files();
-        for (std::uint32_t f = 0; f < files.size(); ++f) {
-          const std::string& file_name = files.name(f);
-          auto& slot = rep[classifier.class_of(f)];
-          if (slot == nullptr || file_name < *slot) slot = &file_name;
-        }
-        input.key_names.reserve(rep.size());
-        for (const auto* p : rep) {
-          input.key_names.push_back(p != nullptr ? *p : std::string());
-        }
-      }
       break;
     }
 
@@ -320,7 +295,6 @@ DimensionJoinInput build_dimension_join_input(
       }
       input.edge_threshold = config.param_edge_threshold;
       input.postings_cap = config.param_postings_cap;
-      if (names != nullptr) input.key_names = patterns.names();
       break;
     }
 
@@ -349,7 +323,6 @@ DimensionJoinInput build_dimension_join_input(
           static_cast<std::uint32_t>(config.whois_min_shared_fields);
       input.union_weight = true;
       input.postings_cap = config.join_postings_cap;
-      if (names != nullptr) input.key_names = values.names();
       break;
     }
   }
@@ -407,37 +380,28 @@ DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
   return out;
 }
 
-DimensionAshes mine_joined_dimension(const DimensionJoinInput& input,
-                                     const SmashConfig& config,
-                                     std::vector<graph::Edge>* canon_edges_out,
-                                     DimensionAshes* canonical_out) {
-  graph::JoinOptions join_options;
-  join_options.max_postings_length = input.postings_cap;
-  graph::JoinStats stats;
-  obs::Span join_span("mine.join", dimension_name(input.dimension).data());
-  const auto pairs = dimension_join(input.key_sets, input.min_shared,
-                                    join_options, config, input.join_threads,
-                                    stats);
-  join_span.finish();
-
-  auto edges = weight_dimension_pairs(input, pairs);
-  DimensionAshes out = extract_canonical_ashes(input, edges, config);
-  out.join_stats = stats;
-  if (canonical_out != nullptr) *canonical_out = out;
-  if (canon_edges_out != nullptr) *canon_edges_out = std::move(edges);
-  return remap_ashes_to_kept(std::move(out), input.canon_to_kept);
-}
-
 DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
                               const whois::Registry& registry,
                               const SmashConfig& config) {
   SMASH_SPAN(dimension_mine_span_name(dimension));
   const auto start = std::chrono::steady_clock::now();
-  DimensionAshes out = mine_joined_dimension(
-      build_dimension_join_input(dimension, pre, registry, config,
-                                 canonical_mining_order(pre),
-                                 dimension_join_threads(dimension, config)),
-      config);
+  const auto input = build_dimension_join_input(
+      dimension, pre, registry, config, canonical_mining_order(pre),
+      dimension_join_threads(dimension, config));
+
+  graph::JoinOptions join_options;
+  join_options.max_postings_length = input.postings_cap;
+  graph::JoinStats stats;
+  obs::Span join_span("mine.join", dimension_name(dimension).data());
+  const auto pairs = dimension_join(input.key_sets, input.min_shared,
+                                    join_options, config, input.join_threads,
+                                    stats);
+  join_span.finish();
+
+  const auto edges = weight_dimension_pairs(input, pairs);
+  DimensionAshes canonical = extract_canonical_ashes(input, edges, config);
+  canonical.join_stats = stats;
+  DimensionAshes out = remap_ashes_to_kept(std::move(canonical), input.canon_to_kept);
   if (config.metrics != nullptr) {
     config.metrics->latency_histogram_ms(dimension_mine_histogram_name(dimension))
         .observe(std::chrono::duration<double, std::milli>(
@@ -477,8 +441,7 @@ std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
   // key cardinalities; the serial path above runs dimensions one at a
   // time, so each gets the full budget there.) The split never changes
   // mined output, only pass counts. Both rules live in
-  // per_dimension_mining_configs so the incremental miner can reproduce
-  // them exactly.
+  // per_dimension_mining_configs.
   const auto dim_configs =
       per_dimension_mining_configs(pre, registry, config, dimensions);
   // parallel_for drains on the calling thread as well as the pool workers,

@@ -13,7 +13,6 @@
 #include "core/smash_config.h"
 #include "graph/graph.h"
 #include "graph/similarity_join.h"
-#include "util/interner.h"
 #include "whois/whois.h"
 
 namespace smash::core {
@@ -51,10 +50,8 @@ unsigned dimension_join_threads(Dimension dimension,
 // concurrent fan-out every dimension but the client one is pinned to one
 // thread, the client dimension gets the leftover threads, and a non-zero
 // join_memory_budget_bytes is split across the slots (weighted by estimated
-// postings cardinality by default). Exposed so the incremental miner runs
-// each dimension under the exact config the full path would — Louvain
-// chunk/stale counters depend on the effective thread budget, and the
-// incremental-vs-full differential compares them.
+// postings cardinality by default). Exposed so a staged caller can run each
+// dimension under the exact config the fan-out would.
 std::vector<SmashConfig> per_dimension_mining_configs(
     const PreprocessResult& pre, const whois::Registry& registry,
     const SmashConfig& config, int dimensions);
@@ -99,26 +96,16 @@ struct DimensionAshes {
 
 // Canonical mining order: indices into pre.kept sorted by server name
 // (unique within a window). Every dimension graph is built and partitioned
-// in this order — stable across window slides for unchanged content, which
-// is what lets the incremental miner reuse cached edges and Louvain
-// partitions — and the ashes are remapped back to kept-index space at the
-// end. The batch and streaming paths share this, so their outputs stay
-// byte-identical.
+// in this order — Louvain is order-dependent, and the name order does not
+// depend on how a window's servers were interned — and the ashes are
+// remapped back to kept-index space at the end. The batch and streaming
+// paths share this, so their outputs stay byte-identical.
 std::vector<std::uint32_t> canonical_mining_order(const PreprocessResult& pre);
 
-// Name sources for the incremental miner's stable-id change detection:
-// resolve window-local key ids to canonical names that survive window
-// re-interning. Only the streaming delta path supplies this; the batch
-// path leaves it null and skips the (small) name materialization.
-struct DimensionKeyNameSources {
-  const util::Interner* clients = nullptr;  // window client interner
-  const util::Interner* ips = nullptr;      // window ip interner
-};
-
-// One dimension's join-stage input, factored out of the mining paths so
-// the full and incremental pipelines are guaranteed to join identical key
-// sets. Nodes are in canonical (name-sorted) order; key ids are
-// window-local (dense, re-interned per window).
+// One dimension's join-stage input: the key sets the join runs over,
+// factored out so staged callers can time the input build, the join and
+// Louvain separately. Nodes are in canonical (name-sorted) order; key ids
+// are window-local (dense, re-interned per window).
 struct DimensionJoinInput {
   Dimension dimension = Dimension::kClient;
   // canon_to_kept[c] = index into pre.kept of canonical node c; ascending
@@ -131,17 +118,12 @@ struct DimensionJoinInput {
   std::uint32_t postings_cap = 0;
   bool union_weight = false;    // whois: w = shared / union, no threshold
   unsigned join_threads = 1;
-  // Window key id -> canonical key name (client/ip names, lexicographically
-  // smallest member filename of a file class, the param/whois key string).
-  // Filled only when a DimensionKeyNameSources was supplied.
-  std::vector<std::string> key_names;
 };
 
 DimensionJoinInput build_dimension_join_input(
     Dimension dimension, const PreprocessResult& pre,
     const whois::Registry& registry, const SmashConfig& config,
-    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads,
-    const DimensionKeyNameSources* names = nullptr);
+    std::vector<std::uint32_t> canon_to_kept, unsigned join_threads);
 
 // Thresholded similarity edges (canonical space, ascending (u, v)) from
 // the join's co-occurrence pairs, under this dimension's weight form.
@@ -159,15 +141,6 @@ DimensionAshes extract_canonical_ashes(const DimensionJoinInput& input,
 // Remaps a canonical-space result to kept-index space (members ascending).
 DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
                                    std::span<const std::uint32_t> canon_to_kept);
-
-// Full join + weighting + Louvain over a built input — the tail every
-// full-mine path runs. When the incremental miner needs to seed its cache
-// it passes `canon_edges_out` / `canonical_out` to capture the
-// canonical-space edges and (pre-remap) ashes.
-DimensionAshes mine_joined_dimension(
-    const DimensionJoinInput& input, const SmashConfig& config,
-    std::vector<graph::Edge>* canon_edges_out = nullptr,
-    DimensionAshes* canonical_out = nullptr);
 
 // Builds the similarity graph for `dimension` over pre.kept and extracts
 // ASHs. `registry` is only used by the Whois dimension. Honors

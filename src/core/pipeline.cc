@@ -163,38 +163,6 @@ SmashResult SmashPipeline::run_preprocessed(PreprocessResult pre,
     result.dims = mine_all_dimensions(result.pre, registry, config_);
   }
   clock.lap("pipeline.mine_ms");
-  return run_tail(std::move(result));
-}
-
-SmashResult SmashPipeline::run_incremental(PreprocessResult pre,
-                                           const whois::Registry& registry,
-                                           DeltaMiner& miner,
-                                           const util::Interner& window_clients,
-                                           const util::Interner& window_ips,
-                                           const WindowDelta& delta) const {
-  StageClock clock(config_.metrics);
-  SmashResult result;
-  result.pre = std::move(pre);
-  const auto mine_start = std::chrono::steady_clock::now();
-  {
-    SMASH_SPAN("pipeline.mine");
-    result.dims = miner.mine(result.pre, registry, window_clients, window_ips,
-                             delta, config_, result.delta);
-  }
-  clock.lap("pipeline.mine_ms");
-  if (config_.metrics != nullptr) {
-    config_.metrics->latency_histogram_ms("pipeline.delta.mine_ms")
-        .observe(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - mine_start)
-                     .count());
-  }
-  return run_tail(std::move(result));
-}
-
-// Correlation -> pruning -> campaign inference: the shared tail of the
-// full and incremental entries.
-SmashResult SmashPipeline::run_tail(SmashResult result) const {
-  StageClock clock(config_.metrics);
   {
     SMASH_SPAN("pipeline.correlate");
     result.correlation = correlate(result.pre, result.dims, config_);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/correlation.h"
-#include "core/delta_mine.h"
 #include "core/dimensions.h"
 #include "core/preprocess.h"
 #include "core/pruning.h"
@@ -35,10 +34,6 @@ struct SmashResult {
   CorrelationResult correlation;
   PruneResult pruned;
   std::vector<Campaign> campaigns;
-  // Incremental-mining counters (all-defaults on the batch / full-mine
-  // paths: enabled == false). Not part of the snapshot digest or the
-  // incremental-vs-full identity comparison.
-  DeltaStats delta;
 
   const std::string& server_name(std::uint32_t kept_idx) const {
     return pre.agg.server_name(pre.kept[kept_idx]);
@@ -97,25 +92,7 @@ class SmashPipeline {
   SmashResult run_preprocessed(PreprocessResult pre,
                                const whois::Registry& registry) const;
 
-  // The streaming delta entry: like run_preprocessed, but the mining stage
-  // goes through `miner`, which reuses its per-dimension caches from the
-  // previous close where `delta` allows (see core/delta_mine.h — with
-  // config.delta_approximate_louvain off the result is byte-identical to
-  // run_preprocessed on the same window). `window_clients` / `window_ips`
-  // are the interners the window profiles' key ids refer to. DeltaStats
-  // land in SmashResult::delta. Correlation, pruning, and campaign
-  // inference always run from scratch — they are microseconds next to the
-  // mine.
-  SmashResult run_incremental(PreprocessResult pre,
-                              const whois::Registry& registry,
-                              DeltaMiner& miner,
-                              const util::Interner& window_clients,
-                              const util::Interner& window_ips,
-                              const WindowDelta& delta) const;
-
  private:
-  SmashResult run_tail(SmashResult result) const;
-
   SmashConfig config_;
 };
 

@@ -88,6 +88,7 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
   };
   std::vector<Remap> remaps(shards.size());
 
+  util::Interner clients;      // window client interner (ids only)
   util::Interner raw_servers;  // window hostname interner (ids only)
   util::Interner agg_servers;  // window 2LD interner -> AggregatedTrace
   util::Interner files;        // window URI-file interner -> AggregatedTrace
@@ -108,7 +109,7 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
 
     remap.client.reserve(trace.clients().size());
     for (std::uint32_t c = 0; c < trace.clients().size(); ++c) {
-      remap.client.push_back(out.clients.intern(trace.clients().name(c)));
+      remap.client.push_back(clients.intern(trace.clients().name(c)));
     }
     remap.ip.reserve(trace.ips().size());
     for (std::uint32_t p = 0; p < trace.ips().size(); ++p) {

@@ -86,13 +86,10 @@ struct ShardPreRef {
 // A window's preprocessed state assembled from cached shards. `pre` feeds
 // SmashPipeline::run_preprocessed; `ips` is the window IP interner the
 // profile `ips` id-sets resolve against (what `assembled_trace.ips()`
-// would have been), and `clients` likewise for the profile `clients`
-// id-sets — the incremental miner translates both to stable ids that
-// survive window re-interning.
+// would have been), which the snapshot needs to name flagged IPs.
 struct WindowPre {
   PreprocessResult pre;
   util::Interner ips;
-  util::Interner clients;
 };
 
 // Merges cached shards (window order: oldest epoch first) into the window's

@@ -111,25 +111,6 @@ struct SmashConfig {
   // (dimensions mined one at a time each get the full budget).
   bool weighted_budget_split = true;
 
-  // --- incremental re-mining (streaming delta path) ---------------------------
-  // Knobs consumed by core::DeltaMiner when the stream engine runs with
-  // StreamConfig::incremental_mining. Both are inert on the batch path.
-  //
-  // Fall back to a full per-dimension mine when more than this fraction of
-  // the dimension's nodes changed since the last close — below the cutoff
-  // the delta join probes only the changed nodes; above it, probing
-  // approaches full-join cost while paying extra bookkeeping.
-  double delta_max_changed_fraction = 0.5;
-  // Opt-in speed mode: repair the previous Louvain partition with
-  // graph::louvain_warm_start instead of re-running louvain_refined when a
-  // dimension's graph changed. APPROXIMATE — partitions may differ from
-  // the from-scratch run, so this is excluded from the incremental-vs-full
-  // byte-identity matrix (kept off by every differential test and CI
-  // gate). Default off: the identity-preserving path re-partitions changed
-  // graphs and reuses cached partitions only when the graph is bitwise
-  // unchanged.
-  bool delta_approximate_louvain = false;
-
   // --- pruning (paper §III-D) -------------------------------------------------
   // A server is "referred by" a host if at least this fraction of its
   // requests carry that Referer; a group is a referrer group if every

@@ -453,134 +453,6 @@ LouvainResult louvain_refined(const Graph& g, const LouvainOptions& options) {
   return out;
 }
 
-WarmStartResult louvain_warm_start(const Graph& g,
-                                   const std::vector<std::uint32_t>& seed_community_of,
-                                   const std::vector<std::uint32_t>& dirty_nodes,
-                                   double fallback_fraction,
-                                   const LouvainOptions& options) {
-  WarmStartResult out;
-  const std::uint32_t n = g.num_nodes();
-  const bool seed_usable = seed_community_of.size() == n;
-  const bool delta_small = static_cast<double>(dirty_nodes.size()) <=
-                           fallback_fraction * static_cast<double>(n);
-  if (!seed_usable || !delta_small) {
-    out.result = louvain_refined(g, options);
-    out.fell_back = true;
-    return out;
-  }
-
-  // Densify seed labels (arbitrary uint32 values -> [0, n)) by sorted rank,
-  // so the aggregate arrays below can be flat.
-  std::vector<std::uint32_t> labels(seed_community_of);
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  std::vector<std::uint32_t> comm(n);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    comm[u] = static_cast<std::uint32_t>(
-        std::lower_bound(labels.begin(), labels.end(), seed_community_of[u]) -
-        labels.begin());
-  }
-  const std::vector<std::uint32_t> seed_dense = comm;
-
-  const double m = g.total_weight();
-  std::size_t sweeps = 0;
-  std::size_t moves = 0;
-  std::size_t evaluated = 0;
-  if (m > 0.0) {
-    std::vector<double> tot(n, 0.0);  // sum of weighted degrees per community
-    for (std::uint32_t u = 0; u < n; ++u) tot[comm[u]] += g.weighted_degree(u);
-
-    std::vector<char> queued(n, 0);
-    std::vector<std::uint32_t> frontier;
-    frontier.reserve(dirty_nodes.size());
-    for (const std::uint32_t u : dirty_nodes) {
-      if (u < n && queued[u] == 0) {
-        queued[u] = 1;
-        frontier.push_back(u);
-      }
-    }
-    std::sort(frontier.begin(), frontier.end());
-
-    // Flat weight-to-community scoring array, reset via a touched list —
-    // the same trick the join's probe counters use.
-    std::vector<double> w_to(n, 0.0);
-    std::vector<std::uint32_t> touched;
-    const std::size_t max_sweeps =
-        options.max_sweeps_per_level > 0
-            ? static_cast<std::size_t>(options.max_sweeps_per_level)
-            : 64;
-
-    while (!frontier.empty() && sweeps < max_sweeps) {
-      ++sweeps;
-      std::vector<std::uint32_t> next;
-      for (const std::uint32_t u : frontier) {
-        queued[u] = 0;
-        ++evaluated;
-        const std::uint32_t c0 = comm[u];
-        const double k_u = g.weighted_degree(u);
-        touched.clear();
-        for (const auto& nb : g.neighbors(u)) {
-          if (nb.node == u) continue;
-          const std::uint32_t c = comm[nb.node];
-          if (w_to[c] == 0.0) touched.push_back(c);
-          w_to[c] += nb.weight;
-        }
-        // Score of placing u (removed from c0 first) into community c:
-        //   score(c) = w_to[c] - tot[c] * k_u / 2m
-        // which is m * deltaQ up to a constant, so the argmax is the best
-        // greedy move. Staying wins ties, then the smallest-ranked
-        // community among the visited ones — both deterministic.
-        tot[c0] -= k_u;
-        double best_score = w_to[c0] - tot[c0] * k_u / (2.0 * m);
-        std::uint32_t best = c0;
-        std::sort(touched.begin(), touched.end());
-        for (const std::uint32_t c : touched) {
-          if (c == c0) continue;
-          const double score = w_to[c] - tot[c] * k_u / (2.0 * m);
-          if (score > best_score) {
-            best_score = score;
-            best = c;
-          }
-        }
-        for (const std::uint32_t c : touched) w_to[c] = 0.0;
-        tot[best] += k_u;
-        if (best != c0) {
-          comm[u] = best;
-          ++moves;
-          // The move may unlock further improvements around u.
-          for (const auto& nb : g.neighbors(u)) {
-            if (nb.node != u && queued[nb.node] == 0) {
-              queued[nb.node] = 1;
-              next.push_back(nb.node);
-            }
-          }
-          if (queued[u] == 0) {
-            queued[u] = 1;
-            next.push_back(u);
-          }
-        }
-      }
-      std::sort(next.begin(), next.end());
-      frontier = std::move(next);
-    }
-  }
-
-  out.repair_sweeps = sweeps;
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if (comm[u] != seed_dense[u]) ++out.repaired_nodes;
-  }
-
-  LouvainResult& r = out.result;
-  r.community_of = std::move(comm);
-  r.num_communities = renumber(r.community_of);
-  r.levels = 0;
-  r.stats.sweeps = sweeps;
-  r.stats.evaluated_nodes = evaluated;
-  r.stats.moves = moves;
-  r.modularity = modularity(g, r.community_of);
-  return out;
-}
-
 double modularity(const Graph& g, const std::vector<std::uint32_t>& community_of) {
   if (community_of.size() != g.num_nodes()) {
     throw std::invalid_argument("modularity: partition size mismatch");

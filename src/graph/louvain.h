@@ -114,36 +114,6 @@ LouvainResult louvain(const Graph& g, const LouvainOptions& options = {});
 // (num_threads > 1); stats accumulate over all of them.
 LouvainResult louvain_refined(const Graph& g, const LouvainOptions& options = {});
 
-// Result of a warm-started (repair-sweep) Louvain run.
-struct WarmStartResult {
-  LouvainResult result;
-  bool fell_back = false;          // ran full louvain_refined instead
-  std::size_t repaired_nodes = 0;  // nodes whose community changed vs seed
-  std::size_t repair_sweeps = 0;   // repair rounds over the dirty frontier
-};
-
-// Warm-start Louvain with localized repair: seeds the partition from
-// `seed_community_of` (size must equal g.num_nodes(); labels are arbitrary —
-// equal labels mean same seed community) and runs greedy local-move repair
-// sweeps starting from `dirty_nodes` (ascending, unique node ids — typically
-// the endpoints of edges that changed since the seed partition was computed),
-// expanding to the neighbors of every accepted move until no move improves
-// modularity. Falls back to a full louvain_refined() when the dirty fraction
-// exceeds `fallback_fraction` of the nodes or the seed is unusable.
-//
-// This is an APPROXIMATE primitive: the repaired partition is deterministic
-// for identical inputs and its modularity is never below the seed
-// partition's, but it is NOT guaranteed to equal louvain_refined() on the
-// same graph. The incremental miner's byte-identical path therefore never
-// calls it — it is the opt-in speed mode behind
-// core::SmashConfig::delta_approximate_louvain, excluded from the
-// incremental-vs-full identity matrix (see docs/ARCHITECTURE.md).
-WarmStartResult louvain_warm_start(const Graph& g,
-                                   const std::vector<std::uint32_t>& seed_community_of,
-                                   const std::vector<std::uint32_t>& dirty_nodes,
-                                   double fallback_fraction,
-                                   const LouvainOptions& options = {});
-
 // Modularity Q of an arbitrary partition of `g`:
 //   Q = sum_c [ in_c / 2m  -  (tot_c / 2m)^2 ]
 // where in_c is total intra-community edge weight (each direction counted,

@@ -152,52 +152,6 @@ void count_probe_range(std::span<const util::IdSet> items,
   }
 }
 
-// Counts co-occurrences for the probe items in probe_items[p_begin, p_end)
-// against the shared postings index, appending (min, max, count) triples.
-// Unlike count_probe_range this walks the *whole* postings list of each key
-// (a probe item pairs with partners on either side of its own id), skipping
-// the probe item itself and — so each probed-probed pair is emitted exactly
-// once — any co-probed partner with a smaller id (that pair is counted when
-// the smaller id is probed). `probed` is the membership mask of
-// probe_items. Pairs are keyed (min, max), so the caller must sort the
-// concatenated result; `counts` must be all-zero on entry and is restored
-// on exit.
-void count_probe_delta(std::span<const util::IdSet> items,
-                       const PostingsIndex& index,
-                       std::span<const std::uint32_t> probe_items,
-                       std::size_t p_begin, std::size_t p_end,
-                       const std::vector<char>& probed,
-                       std::uint32_t min_shared,
-                       std::uint32_t max_postings_length,
-                       std::vector<std::uint32_t>& counts,
-                       std::vector<std::uint32_t>& touched,
-                       std::vector<CooccurrencePair>& out,
-                       std::size_t& candidate_pairs) {
-  for (std::size_t p = p_begin; p < p_end; ++p) {
-    const std::uint32_t a = probe_items[p];
-    touched.clear();
-    for (const std::uint32_t key : items[a]) {
-      const std::size_t len = index.length(key);
-      if (len < 2 || len > max_postings_length) continue;
-      const auto* it = index.entries.data() + index.offset(key);
-      const auto* end = it + len;
-      for (; it != end; ++it) {
-        const std::uint32_t b = *it;
-        if (b == a || (probed[b] != 0 && b < a)) continue;
-        ++candidate_pairs;
-        if (counts[b]++ == 0) touched.push_back(b);
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const std::uint32_t b : touched) {
-      if (counts[b] >= min_shared) {
-        out.push_back({std::min(a, b), std::max(a, b), counts[b]});
-      }
-      counts[b] = 0;
-    }
-  }
-}
-
 // Accumulates (does not reset) key counters so the sharded join can sum
 // across passes; every key lives in exactly one pass, so the totals match
 // the single-pass join's.
@@ -287,76 +241,6 @@ std::vector<CooccurrencePair> cooccurrence_join_parallel(
     out.insert(out.end(), part.begin(), part.end());
   }
   for (const auto c : shard_candidates) local.candidate_pairs += c;
-  local.emitted_pairs = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<CooccurrencePair> cooccurrence_join_delta(
-    std::span<const util::IdSet> items,
-    std::span<const std::uint32_t> probe_items, std::uint32_t min_shared,
-    const JoinOptions& options, unsigned num_threads, JoinStats* stats) {
-  if (min_shared == 0) {
-    throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
-  }
-  for (std::size_t p = 0; p < probe_items.size(); ++p) {
-    if (probe_items[p] >= items.size() ||
-        (p > 0 && probe_items[p] <= probe_items[p - 1])) {
-      throw std::invalid_argument(
-          "cooccurrence_join_delta: probe_items must be ascending unique "
-          "item ids");
-    }
-  }
-  const PostingsIndex index = build_postings(items);
-
-  JoinStats local;
-  local.shard_passes = 1;
-  local.peak_resident_postings_bytes =
-      postings_bytes(index.num_keys, index.entries.size());
-  fill_key_stats(index, options.max_postings_length, local);
-
-  std::vector<char> probed(items.size(), 0);
-  for (const std::uint32_t p : probe_items) probed[p] = 1;
-
-  constexpr std::size_t kMinProbesPerShard = 64;
-  const std::size_t np = probe_items.size();
-  unsigned shards = num_threads == 0 ? 1 : num_threads;
-  shards = static_cast<unsigned>(std::min<std::size_t>(
-      shards, std::max<std::size_t>(np / kMinProbesPerShard, 1)));
-
-  std::vector<CooccurrencePair> out;
-  if (shards <= 1) {
-    std::vector<std::uint32_t> counts(items.size(), 0);
-    std::vector<std::uint32_t> touched;
-    count_probe_delta(items, index, probe_items, 0, np, probed, min_shared,
-                      options.max_postings_length, counts, touched, out,
-                      local.candidate_pairs);
-  } else {
-    std::vector<std::vector<CooccurrencePair>> shard_out(shards);
-    std::vector<std::size_t> shard_candidates(shards, 0);
-    util::ThreadPool pool(std::min(num_threads, shards));
-    util::parallel_for(pool, shards, [&](std::size_t s) {
-      std::vector<std::uint32_t> counts(items.size(), 0);
-      std::vector<std::uint32_t> touched;
-      count_probe_delta(items, index, probe_items, np * s / shards,
-                        np * (s + 1) / shards, probed, min_shared,
-                        options.max_postings_length, counts, touched,
-                        shard_out[s], shard_candidates[s]);
-    });
-    std::size_t total = 0;
-    for (const auto& part : shard_out) total += part.size();
-    out.reserve(total);
-    for (auto& part : shard_out) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    for (const auto c : shard_candidates) local.candidate_pairs += c;
-  }
-  // A probe item emits partners on both sides of its own id under (min,
-  // max) keys, so unlike the full join the output is not already globally
-  // ordered. Every pair appears exactly once, so the sort is deterministic.
-  std::sort(out.begin(), out.end(), [](const auto& p, const auto& q) {
-    return p.a != q.a ? p.a < q.a : p.b < q.b;
-  });
   local.emitted_pairs = out.size();
   if (stats != nullptr) *stats = local;
   return out;

@@ -153,24 +153,6 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     const JoinOptions& options, std::size_t memory_budget_bytes,
     unsigned num_threads, JoinStats* stats = nullptr);
 
-// Delta probe join: recomputes exact co-occurrence counts for every pair
-// with at least one endpoint in `probe_items` (ascending, unique item ids)
-// against a postings index built over the full current window. Cap
-// (max_postings_length, always the key's full postings length) and
-// min_shared semantics are identical to cooccurrence_join, so for any pair
-// touching a probe item the emitted count is byte-identical to the full
-// join's; pairs between two non-probe items are never enumerated — the
-// incremental miner carries those over from its cache. Each pair appears
-// exactly once with a < b, sorted by (a, b). JoinStats describes the full
-// index (num_keys / postings_entries / skipped_keys / shard_passes /
-// peak_resident_postings_bytes all match the single-pass full join);
-// candidate_pairs / emitted_pairs count only the probed work.
-std::vector<CooccurrencePair> cooccurrence_join_delta(
-    std::span<const util::IdSet> items,
-    std::span<const std::uint32_t> probe_items, std::uint32_t min_shared,
-    const JoinOptions& options, unsigned num_threads,
-    JoinStats* stats = nullptr);
-
 // The original hash-map-based join (packed-pair unordered_map), retained as
 // a reference implementation for equivalence tests and the speedup
 // benchmark in bench/perf_micro.cc. Same contract and output order as

@@ -1,6 +1,5 @@
 #include "stream/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -69,21 +68,6 @@ void StreamEngine::bind_metrics() {
       "stream.mine_queue_wait_ms", "epoch close to mine start");
   metrics_.mine_queue_depth =
       &r.gauge("stream.mine_queue_depth", "mining jobs in flight or pending");
-  metrics_.delta_changed_2lds =
-      &r.counter("pipeline.delta.changed_2lds_total",
-                 "2LDs the incremental miner saw added or evicted per close");
-  metrics_.delta_rescored_pairs =
-      &r.counter("pipeline.delta.rescored_pairs_total",
-                 "candidate pairs re-scored by delta similarity joins");
-  metrics_.delta_reused_pairs =
-      &r.counter("pipeline.delta.reused_pairs_total",
-                 "similarity edges carried over from the previous close");
-  metrics_.delta_repair_sweeps =
-      &r.counter("pipeline.delta.repair_sweeps_total",
-                 "warm-start Louvain repair sweeps");
-  metrics_.delta_full_fallbacks =
-      &r.counter("pipeline.delta.full_fallbacks_total",
-                 "per-dimension falls back to a full mine");
   r.gauge_callback(
       "stream.snapshot_age_ms",
       [this] {
@@ -115,9 +99,6 @@ StreamEngine::StreamEngine(StreamConfig config, const whois::Registry& registry)
         config_.durability_dir, fsync_policy_of(config_));
     journal_->set_metrics(metrics_registry_.get());
   }
-  if (config_.incremental_mining) {
-    delta_miner_ = std::make_unique<core::DeltaMiner>();
-  }
   if (config_.async_mining) {
     miner_ = std::make_unique<util::ThreadPool>(1);
   }
@@ -133,13 +114,6 @@ StreamEngine::StreamEngine(RecoveredTag, StreamConfig config,
       recovery_stats_(recovery_stats), closes_total_(closes_total) {
   bind_metrics();
   if (journal_) journal_->set_metrics(metrics_registry_.get());
-  if (config_.incremental_mining) {
-    // Fresh miner with empty caches: the first post-recovery close falls
-    // back to a full mine (DeltaStats::fallback_no_state) and the
-    // caches rebuild from there — recovered engines stay byte-identical to
-    // uninterrupted ones without persisting mining state.
-    delta_miner_ = std::make_unique<core::DeltaMiner>();
-  }
   if (config_.async_mining) {
     miner_ = std::make_unique<util::ThreadPool>(1);
   }
@@ -334,43 +308,6 @@ void StreamEngine::mining_loop(MiningJob job) {
   }
 }
 
-core::WindowDelta StreamEngine::compute_window_delta(
-    const std::vector<std::shared_ptr<const EpochShard>>& shards) const {
-  core::WindowDelta delta;
-  if (mined_window_2lds_.empty()) return delta;  // unknown = true: full mine
-  delta.unknown = false;
-  // Windows are at most window_epochs shards, so the quadratic membership
-  // scans are noise next to the mine itself.
-  const auto was_mined = [&](EpochId id) {
-    for (const auto& [mined_id, lds] : mined_window_2lds_) {
-      if (mined_id == id) return true;
-    }
-    return false;
-  };
-  const auto in_window = [&](EpochId id) {
-    for (const auto& shard : shards) {
-      if (shard->id() == id) return true;
-    }
-    return false;
-  };
-  std::vector<std::string> changed;
-  for (const auto& shard : shards) {
-    if (was_mined(shard->id())) continue;
-    ++delta.epochs_added;
-    const auto& lds = shard->pre().delta_2lds;
-    changed.insert(changed.end(), lds.begin(), lds.end());
-  }
-  for (const auto& [mined_id, lds] : mined_window_2lds_) {
-    if (in_window(mined_id)) continue;
-    ++delta.epochs_evicted;
-    changed.insert(changed.end(), lds.begin(), lds.end());
-  }
-  std::sort(changed.begin(), changed.end());
-  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  delta.changed_2lds = std::move(changed);
-  return delta;
-}
-
 void StreamEngine::mine_and_publish(
     const std::vector<std::shared_ptr<const EpochShard>>& shards,
     const WindowAggregates* live_aggregates, const IngestStats& ingest_stats,
@@ -413,34 +350,7 @@ void StreamEngine::mine_and_publish(
     window_requests = window_pre.pre.total_requests;
 
     const auto mine_start = std::chrono::steady_clock::now();
-    if (delta_miner_) {
-      const auto delta = compute_window_delta(shards);
-      try {
-        SMASH_SPAN("stream.mine");
-        result = pipeline_.run_incremental(std::move(window_pre.pre), registry_,
-                                           *delta_miner_, window_pre.clients,
-                                           window_pre.ips, delta);
-      } catch (...) {
-        // The window that failed to mine never published, so the miner's
-        // cache no longer matches this engine's notion of the last mined
-        // window. Drop both; the next close transparently full-mines.
-        delta_miner_->reset();
-        mined_window_2lds_.clear();
-        throw;
-      }
-      mined_window_2lds_.clear();
-      mined_window_2lds_.reserve(shards.size());
-      for (const auto& shard : shards) {
-        mined_window_2lds_.emplace_back(shard->id(), shard->pre().delta_2lds);
-      }
-      if (metrics_.delta_changed_2lds != nullptr) {
-        metrics_.delta_changed_2lds->inc(delta.changed_2lds.size());
-        metrics_.delta_rescored_pairs->inc(result.delta.rescored_pairs);
-        metrics_.delta_reused_pairs->inc(result.delta.reused_pairs);
-        metrics_.delta_repair_sweeps->inc(result.delta.repair_sweeps);
-        metrics_.delta_full_fallbacks->inc(result.delta.full_fallbacks());
-      }
-    } else {
+    {
       SMASH_SPAN("stream.mine");
       result = pipeline_.run_preprocessed(std::move(window_pre.pre), registry_);
     }

@@ -239,13 +239,6 @@ class StreamEngine {
     obs::Histogram* snapshot_build_ms = nullptr;
     obs::Histogram* mine_queue_wait_ms = nullptr;
     obs::Gauge* mine_queue_depth = nullptr;
-    // Incremental-mining counters (pipeline.delta.* — registered whenever
-    // metrics are on, so they render at 0 when incremental_mining is off).
-    obs::Counter* delta_changed_2lds = nullptr;
-    obs::Counter* delta_rescored_pairs = nullptr;
-    obs::Counter* delta_reused_pairs = nullptr;
-    obs::Counter* delta_repair_sweeps = nullptr;
-    obs::Counter* delta_full_fallbacks = nullptr;
   };
 
   // Write-ahead step run before an event is journaled or ingested: when
@@ -274,15 +267,6 @@ class StreamEngine {
       const std::vector<std::shared_ptr<const EpochShard>>& shards,
       const WindowAggregates* live_aggregates, const IngestStats& ingest_stats,
       std::uint64_t closes_upto, std::chrono::steady_clock::time_point closed_at);
-  // Epoch delta between the last *mined* window (mined_window_2lds_) and
-  // the window about to be mined: added/evicted epochs plus the sorted
-  // union of their shards' distinct 2LDs (the changed-2LD hint the delta
-  // miner narrows change detection with). `unknown` when nothing was mined
-  // yet (first close, or post-recovery — the caches are empty either way).
-  // Mining-context only: ingest thread in sync mode, the single mining
-  // thread in async mode — mine_and_publish calls are serialized.
-  core::WindowDelta compute_window_delta(
-      const std::vector<std::shared_ptr<const EpochShard>>& shards) const;
 
   StreamConfig config_;
   const whois::Registry& registry_;
@@ -298,18 +282,6 @@ class StreamEngine {
   core::SmashPipeline pipeline_;
   StreamIngestor ingestor_;
   SnapshotSlot slot_;
-
-  // Incremental re-mining state (null / empty unless
-  // config_.incremental_mining). Both live in the mining context — the
-  // ingest thread in sync mode, the single mining thread in async mode —
-  // and mine_and_publish calls are serialized, so no locking is needed.
-  // A recovered engine starts with a fresh miner (empty caches): its first
-  // post-recovery close transparently falls back to a full mine.
-  std::unique_ptr<core::DeltaMiner> delta_miner_;
-  // (epoch id, distinct 2LDs) of each shard in the last window actually
-  // mined — not the last closed window; async coalescing can skip closes —
-  // from which compute_window_delta derives added/evicted epochs.
-  std::vector<std::pair<EpochId, std::vector<std::string>>> mined_window_2lds_;
 
   // Write-ahead log + checkpoints (null without durability_dir). All
   // journal operations run on the writer thread.

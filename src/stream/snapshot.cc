@@ -25,7 +25,6 @@ std::shared_ptr<const DetectionSnapshot> DetectionSnapshot::build(
   snap->louvain_stats_ = result.louvain_stats();
   snap->ingest_stats_ = ingest;
   snap->recovery_stats_ = recovery;
-  snap->delta_stats_ = result.delta;
 
   // An exception here (or anywhere below) unwinds before the caller ever
   // publishes `snap`: the previously published snapshot stays readable.

@@ -126,13 +126,6 @@ class DetectionSnapshot {
   // StreamEngine::recover(); all-zero otherwise.
   const RecoveryStats& recovery_stats() const noexcept { return recovery_stats_; }
 
-  // Incremental-mining counters of the mine that produced this snapshot
-  // (core/delta_mine.h); enabled == false when the window was mined by the
-  // full path. Pure observability: excluded from digest() — the
-  // incremental-vs-full differential tests compare snapshots that
-  // legitimately differ only here.
-  const core::DeltaStats& delta_stats() const noexcept { return delta_stats_; }
-
   // Deterministic, humanly diffable rendering of every verdict-bearing
   // field (campaigns, per-2LD and per-IP verdicts sorted by key, window
   // facts, ingest counters). Two snapshots over identical windows digest
@@ -157,7 +150,6 @@ class DetectionSnapshot {
   graph::LouvainStats louvain_stats_{};
   IngestStats ingest_stats_{};
   RecoveryStats recovery_stats_{};
-  core::DeltaStats delta_stats_{};
   std::chrono::steady_clock::time_point built_at_{};
 };
 

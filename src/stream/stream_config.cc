@@ -12,14 +12,6 @@ void StreamConfig::validate() const {
   SMASH_CHECK(durability_dir.empty() || checkpoint_every_epochs > 0,
               "StreamConfig: checkpoint_every_epochs must be > 0 when "
               "durability_dir is set");
-  SMASH_CHECK(!incremental_mining || reuse_shard_preprocess,
-              "StreamConfig: incremental_mining requires "
-              "reuse_shard_preprocess (the delta caches key off the merged "
-              "shard preprocess state)");
-  SMASH_CHECK(smash.delta_max_changed_fraction >= 0.0 &&
-                  smash.delta_max_changed_fraction <= 1.0,
-              "StreamConfig: smash.delta_max_changed_fraction must be in "
-              "[0, 1]");
 }
 
 }  // namespace smash::stream

@@ -84,21 +84,6 @@ struct StreamConfig {
   // disable only to cross-check against the assemble-and-preprocess path.
   bool reuse_shard_preprocess = true;
 
-  // Incremental delta re-mining (ROADMAP #1, core/delta_mine.h): each close
-  // hands the pipeline a WindowDelta (epochs added/evicted since the last
-  // mined window, changed-2LD hint) and the mine reuses per-dimension caches
-  // — translated key sets, similarity edges, Louvain partitions — touching
-  // only what changed. Off (default) = today's full re-mine per close. With
-  // smash.delta_approximate_louvain off (its default), published snapshots
-  // are byte-identical to the full path for every thread count, sync or
-  // async, across slides and recovery (the differential tests and the
-  // stream fuzzer enforce it); fallbacks to a full mine (first close, post
-  // recovery, cap/budget interactions, large deltas) are automatic and
-  // reported per snapshot via DetectionSnapshot::delta_stats(). Requires
-  // reuse_shard_preprocess (validate()): the delta caches key off the
-  // merged shard id spaces.
-  bool incremental_mining = false;
-
   // Test/bench hook: artificial delay (unit: milliseconds; default 0 =
   // none) per mine, before snapshot build, used to force epoch closes to
   // pile up behind an in-flight mine so coalescing is deterministic in

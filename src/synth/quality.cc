@@ -193,7 +193,6 @@ ScenarioRun run_scenario(const Scenario& scenario,
     const auto snapshot = engine.snapshot();
     if (snapshot == nullptr) return;
     run.observations.push_back(observe(*snapshot));
-    run.digests.push_back(snapshot->digest());
   };
   for (const auto& event : scenario.events) {
     ingest_event(engine, event);

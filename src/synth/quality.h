@@ -87,7 +87,6 @@ std::string describe_vs_floor(const ScenarioQuality& q,
 
 struct ScenarioRun {
   std::vector<DetectionObservation> observations;  // one per publication
-  std::vector<std::string> digests;  // snapshot digest per publication
 };
 
 // Feeds the scenario through a fresh StreamEngine under `config` (probing

@@ -308,103 +308,16 @@ TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
   }
 }
 
-// --- incremental vs full delta re-mining -------------------------------------
-//
-// Random schedules (late events, multi-epoch gaps, window slides) through a
-// full-mine engine and an incremental one: every published snapshot must be
-// byte-identical — the delta caches, the changed-2LD hint, the carried-edge
-// merge and the partition reuse may only change wall-clock, never output.
-// schedule_config varies threads {1, 4}, window sizes, and late-event
-// policy across seeds.
-
-TEST(FuzzIncrementalStream, RandomSchedulesIncrementalVsFullEveryClose) {
-  std::size_t delta_mined_closes = 0;
-  std::size_t fallback_closes = 0;
-  std::size_t evicting_closes = 0;
-  for (const auto seed : fuzz_seeds(12)) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
-    const auto events = random_schedule(seed);
-    const whois::Registry registry;
-    const auto full_config = schedule_config(seed, /*async=*/false);
-    auto incremental_config = full_config;
-    incremental_config.incremental_mining = true;
-
-    stream::StreamEngine full(full_config, registry);
-    stream::StreamEngine incremental(incremental_config, registry);
-    std::uint64_t seen = 0;
-    const auto compare_published = [&] {
-      ASSERT_EQ(full.snapshots_published(), incremental.snapshots_published());
-      if (incremental.snapshots_published() == seen) return;
-      seen = incremental.snapshots_published();
-      const auto a = full.snapshot();
-      const auto b = incremental.snapshot();
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      expect_identical_snapshots(*a, *b);
-      EXPECT_TRUE(b->delta_stats().enabled);
-      if (b->delta_stats().dims_delta > 0) ++delta_mined_closes;
-      if (b->delta_stats().full_fallbacks() > 0) ++fallback_closes;
-      if (b->delta_stats().epochs_evicted > 0) ++evicting_closes;
-    };
-    for (const auto& event : events) {
-      synth::ingest_event(full, event);
-      synth::ingest_event(incremental, event);
-      compare_published();
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    full.finish();
-    incremental.finish();
-    compare_published();
-  }
-  // The sweep must exercise both sides of the cache decision and real
-  // window slides (a pinned seed may legitimately see only one).
-  if (!test::fuzz_seed_pinned()) {
-    EXPECT_GT(delta_mined_closes, 0u);
-    EXPECT_GT(fallback_closes, 0u);
-    EXPECT_GT(evicting_closes, 0u);
-  }
-}
-
-TEST(FuzzIncrementalStream, RandomSchedulesIncrementalAsyncMatchesFullSync) {
-  // Async coalescing skips intermediate windows, so the incremental path
-  // sees multi-epoch deltas between mined windows; the final snapshot must
-  // still match a full-mine sync engine's.
-  for (const auto seed : fuzz_seeds(8)) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
-    const auto events = random_schedule(seed);
-    const whois::Registry registry;
-
-    stream::StreamEngine full(schedule_config(seed, /*async=*/false), registry);
-    for (const auto& event : events) synth::ingest_event(full, event);
-    full.finish();
-
-    auto incremental_config = schedule_config(seed, /*async=*/true);
-    incremental_config.incremental_mining = true;
-    // Throttle mines so closes pile up and coalesce deterministically often.
-    incremental_config.mine_throttle_ms = seed % 2 == 0 ? 2 : 0;
-    stream::StreamEngine incremental(incremental_config, registry);
-    for (const auto& event : events) synth::ingest_event(incremental, event);
-    incremental.finish();
-
-    EXPECT_EQ(full.epochs_closed_total(), incremental.epochs_closed_total());
-    const auto a = full.snapshot();
-    const auto b = incremental.snapshot();
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    expect_identical_snapshots(*a, *b);
-  }
-}
-
 // --- randomized scenario-matrix configs --------------------------------------
 //
 // The scenario library (src/synth/scenarios.h) composes shapes the plain
 // random schedule never produces: shared cloud pools tying campaigns to
 // benign tenants, flash crowds, DGA bursts, diurnal load, jittered
 // long-cadence polling. Randomizing the builder's specs per seed and
-// running the stream through full-re-mine vs incremental engines extends
-// the byte-identical-snapshot contract to those shapes. Picked up by the
+// running the stream through the default engine (cached per-epoch
+// preprocessing, core/preshard.h) and one that re-preprocesses the
+// assembled window (reuse_shard_preprocess = false) extends the
+// byte-identical-snapshot contract to those shapes. Picked up by the
 // nightly 500-seed sweep via the *Fuzz* filter.
 
 synth::Scenario random_matrix_scenario(std::uint64_t seed) {
@@ -471,38 +384,38 @@ stream::StreamConfig scenario_stream_config(std::uint64_t seed) {
   return config;
 }
 
-TEST(FuzzScenarioStream, RandomScenarioConfigsIncrementalMatchesFull) {
+TEST(FuzzScenarioStream, RandomScenarioConfigsPreshardMatchesAssembled) {
   std::size_t snapshots_with_verdicts = 0;
   for (const auto seed : fuzz_seeds(8)) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
     const auto scenario = random_matrix_scenario(seed);
-    const auto full_config = scenario_stream_config(seed);
-    auto incremental_config = full_config;
-    incremental_config.incremental_mining = true;
+    const auto preshard_config = scenario_stream_config(seed);
+    auto assembled_config = preshard_config;
+    assembled_config.reuse_shard_preprocess = false;
 
-    stream::StreamEngine full(full_config, scenario.whois);
-    stream::StreamEngine incremental(incremental_config, scenario.whois);
+    stream::StreamEngine preshard(preshard_config, scenario.whois);
+    stream::StreamEngine assembled(assembled_config, scenario.whois);
     std::uint64_t seen = 0;
     const auto compare_published = [&] {
-      ASSERT_EQ(full.snapshots_published(), incremental.snapshots_published());
-      if (incremental.snapshots_published() == seen) return;
-      seen = incremental.snapshots_published();
-      const auto a = full.snapshot();
-      const auto b = incremental.snapshot();
+      ASSERT_EQ(preshard.snapshots_published(), assembled.snapshots_published());
+      if (preshard.snapshots_published() == seen) return;
+      seen = preshard.snapshots_published();
+      const auto a = preshard.snapshot();
+      const auto b = assembled.snapshot();
       ASSERT_NE(a, nullptr);
       ASSERT_NE(b, nullptr);
       expect_identical_snapshots(*a, *b);
       if (a->num_malicious_servers() > 0) ++snapshots_with_verdicts;
     };
     for (const auto& event : scenario.events) {
-      synth::ingest_event(full, event);
-      synth::ingest_event(incremental, event);
+      synth::ingest_event(preshard, event);
+      synth::ingest_event(assembled, event);
       compare_published();
       if (::testing::Test::HasFatalFailure()) return;
     }
-    full.finish();
-    incremental.finish();
+    preshard.finish();
+    assembled.finish();
     compare_published();
   }
   // The randomized scenarios must produce real verdicts for the identity

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 namespace smash::graph {
@@ -133,93 +132,6 @@ TEST(LouvainRefined, Deterministic) {
   const auto a = louvain_refined(g);
   const auto b = louvain_refined(g);
   EXPECT_EQ(a.community_of, b.community_of);
-}
-
-// Same grouping of nodes regardless of which labels the communities got
-// (warm start renumbers labels in first-seen order, so exact label values
-// are not comparable across runs).
-void expect_same_partition(const std::vector<std::uint32_t>& a,
-                           const std::vector<std::uint32_t>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  std::map<std::uint32_t, std::uint32_t> a_to_b;
-  std::map<std::uint32_t, std::uint32_t> b_to_a;
-  for (std::size_t v = 0; v < a.size(); ++v) {
-    const auto [fwd, fwd_new] = a_to_b.emplace(a[v], b[v]);
-    const auto [rev, rev_new] = b_to_a.emplace(b[v], a[v]);
-    EXPECT_EQ(fwd->second, b[v]) << "node " << v;
-    EXPECT_EQ(rev->second, a[v]) << "node " << v;
-  }
-}
-
-// Warm-start repair (core/delta_mine.h's opt-in approximate mode): seed
-// from a previous partition, sweep only around the dirty nodes.
-TEST(LouvainWarmStart, CleanSeedWithNoDirtyNodesKeepsThePartition) {
-  const Graph g = two_cliques(6, 0.1);
-  const auto full = louvain_refined(g);
-  const auto warm = louvain_warm_start(g, full.community_of, {}, 0.5);
-  EXPECT_FALSE(warm.fell_back);
-  EXPECT_EQ(warm.repaired_nodes, 0u);
-  expect_same_partition(warm.result.community_of, full.community_of);
-  EXPECT_DOUBLE_EQ(warm.result.modularity, full.modularity);
-}
-
-TEST(LouvainWarmStart, RepairsPerturbedSeedAroundDirtyNodes) {
-  const Graph g = two_cliques(8, 0.1);
-  auto seed = louvain_refined(g).community_of;
-  // Misplace two nodes of the second clique into the first's community.
-  seed[8] = seed[0];
-  seed[9] = seed[0];
-  const std::vector<std::uint32_t> dirty{8, 9};
-  const auto warm = louvain_warm_start(g, seed, dirty, 0.5);
-  EXPECT_FALSE(warm.fell_back);
-  EXPECT_GE(warm.repaired_nodes, 2u);
-  // Both cliques whole again.
-  for (std::uint32_t v = 1; v < 8; ++v) {
-    EXPECT_EQ(warm.result.community_of[v], warm.result.community_of[0]);
-    EXPECT_EQ(warm.result.community_of[8 + v], warm.result.community_of[8]);
-  }
-  EXPECT_NE(warm.result.community_of[0], warm.result.community_of[8]);
-}
-
-TEST(LouvainWarmStart, ModularityNeverBelowSeedPartition) {
-  const Graph g = two_cliques(7, 0.2);
-  std::vector<std::uint32_t> seed(14);
-  for (std::uint32_t v = 0; v < 14; ++v) seed[v] = v % 3;  // junk seed
-  std::vector<std::uint32_t> dirty(14);
-  for (std::uint32_t v = 0; v < 14; ++v) dirty[v] = v;
-  const auto warm = louvain_warm_start(g, seed, dirty, 1.0);
-  EXPECT_FALSE(warm.fell_back);
-  EXPECT_GE(warm.result.modularity, modularity(g, seed) - 1e-12);
-}
-
-TEST(LouvainWarmStart, FallsBackOnSizeMismatchAndLargeDeltas) {
-  const Graph g = two_cliques(6, 0.1);
-  const auto full = louvain_refined(g);
-
-  // Seed from a differently-sized graph: full re-run.
-  const auto mismatched =
-      louvain_warm_start(g, std::vector<std::uint32_t>(5, 0), {}, 0.5);
-  EXPECT_TRUE(mismatched.fell_back);
-  EXPECT_EQ(mismatched.result.community_of, full.community_of);
-
-  // Dirty fraction above the cutoff: full re-run.
-  std::vector<std::uint32_t> dirty(12);
-  for (std::uint32_t v = 0; v < 12; ++v) dirty[v] = v;
-  const auto over = louvain_warm_start(g, full.community_of, dirty, 0.25);
-  EXPECT_TRUE(over.fell_back);
-  EXPECT_EQ(over.result.community_of, full.community_of);
-}
-
-TEST(LouvainWarmStart, Deterministic) {
-  const Graph g = two_cliques(9, 0.15);
-  auto seed = louvain_refined(g).community_of;
-  seed[9] = seed[0];
-  const std::vector<std::uint32_t> dirty{9};
-  const auto a = louvain_warm_start(g, seed, dirty, 0.5);
-  const auto b = louvain_warm_start(g, seed, dirty, 0.5);
-  EXPECT_EQ(a.result.community_of, b.result.community_of);
-  EXPECT_EQ(a.repaired_nodes, b.repaired_nodes);
-  EXPECT_EQ(a.repair_sweeps, b.repair_sweeps);
 }
 
 class LouvainCliqueSizeTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -70,12 +70,6 @@ stream::StreamConfig matrix_config(const std::string& dir, unsigned threads,
   config.durability_dir = dir;
   config.fsync_policy = policy;
   config.checkpoint_every_epochs = 2;
-  // The durable (crashing) and recovered engines mine incrementally; the
-  // uninterrupted reference below strips this along with durability_dir.
-  // Every matrix cell thus proves recovery correctness AND the
-  // incremental-vs-full identity in one comparison — including that a
-  // recovered engine's empty delta caches transparently full-mine first.
-  config.incremental_mining = true;
   return config;
 }
 
@@ -159,7 +153,6 @@ TEST_F(RecoveryMatrixTest, RecoveredSnapshotsMatchUninterruptedRun) {
             [&] {
               auto c = config;
               c.durability_dir.clear();
-              c.incremental_mining = false;  // full-mine oracle
               return c;
             }(),
             registry);
@@ -211,7 +204,6 @@ TEST_F(RecoveryMatrixTest, AsyncRecoveredEngineConvergesToSameFinalSnapshot) {
   auto reference_config = config;
   reference_config.durability_dir.clear();
   reference_config.async_mining = false;
-  reference_config.incremental_mining = false;  // full-mine oracle
   stream::StreamEngine reference(reference_config, registry);
   for (const auto& event : events) synth::ingest_event(reference, event);
   reference.finish();
