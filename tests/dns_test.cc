@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/file_classifier.h"
 #include "dns/dga.h"
@@ -13,6 +15,10 @@ struct TwoLdCase {
   std::string host;
   std::string expected;
 };
+
+// Names each case by its host, so test IDs stay the same from build to build
+// (gtest's default prints the struct's raw bytes, heap pointers included).
+void PrintTo(const TwoLdCase& c, std::ostream* os) { *os << c.host; }
 
 class Effective2ldTest : public ::testing::TestWithParam<TwoLdCase> {};
 

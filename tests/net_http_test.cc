@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace smash::net {
 namespace {
 
@@ -9,6 +12,10 @@ struct UriFileCase {
   std::string path;
   std::string expected;
 };
+
+// Names each case by its path, so test IDs stay the same from build to build
+// (gtest's default prints the struct's raw bytes, heap pointers included).
+void PrintTo(const UriFileCase& c, std::ostream* os) { *os << c.path; }
 
 class UriFileTest : public ::testing::TestWithParam<UriFileCase> {};
 
