@@ -4,6 +4,8 @@
 // sharding, and JoinStats observability of the postings cap.
 #include "graph/similarity_join.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -153,6 +155,50 @@ TEST(JoinEdgeCases, EmptyAndSingletonInputs) {
   EXPECT_TRUE(cooccurrence_join(empties, 1, {}, &stats).empty());
   EXPECT_EQ(stats.num_keys, 0u);
   EXPECT_EQ(stats.postings_entries, 0u);
+
+  // Every entry point agrees on degenerate inputs, pairs and stats alike.
+  // An input with no keys still reports one pass over an empty index.
+  std::vector<IdSet> single_key;
+  single_key.emplace_back(std::vector<std::uint32_t>{0});
+  const std::vector<std::vector<IdSet>> inputs = {{}, empties, one, single_key};
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto& items = inputs[i];
+    JoinStats serial_stats;
+    const auto serial = cooccurrence_join(items, 1, {}, &serial_stats);
+    const auto plan = plan_key_shards(items, 0);
+    EXPECT_EQ(serial_stats.shard_passes, 1u);
+    EXPECT_EQ(serial_stats.peak_resident_postings_bytes, plan.total_bytes);
+    if (plan.ranges.empty()) {
+      EXPECT_EQ(serial_stats.peak_resident_postings_bytes, postings_bytes(0, 0));
+    }
+
+    JoinStats parallel_stats;
+    EXPECT_EQ(cooccurrence_join_parallel(items, 1, {}, 4, &parallel_stats),
+              serial);
+    EXPECT_EQ(parallel_stats, serial_stats);
+    JoinStats unbounded_stats;
+    EXPECT_EQ(cooccurrence_join_sharded(items, 1, {}, 0, 4, &unbounded_stats),
+              serial);
+    EXPECT_EQ(unbounded_stats, serial_stats);
+
+    // A 64-byte budget splits a keyed input into several passes; only the
+    // pass count and the resident peak may differ from the in-RAM join.
+    const auto bounded_plan = plan_key_shards(items, 64);
+    JoinStats bounded_stats;
+    EXPECT_EQ(cooccurrence_join_sharded(items, 1, {}, 64, 4, &bounded_stats),
+              serial);
+    EXPECT_EQ(bounded_stats.shard_passes,
+              std::max<std::size_t>(bounded_plan.ranges.size(), 1));
+    EXPECT_EQ(bounded_stats.peak_resident_postings_bytes,
+              bounded_plan.ranges.empty() ? postings_bytes(0, 0)
+                                          : bounded_plan.peak_bytes);
+    JoinStats expected = serial_stats;
+    expected.shard_passes = bounded_stats.shard_passes;
+    expected.peak_resident_postings_bytes =
+        bounded_stats.peak_resident_postings_bytes;
+    EXPECT_EQ(bounded_stats, expected);
+  }
 }
 
 }  // namespace
