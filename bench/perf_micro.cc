@@ -2,20 +2,16 @@
 // timed against reference implementations, written to BENCH_micro.json so
 // later PRs have a trajectory to compare against.
 //
-// Usage: perf_micro [output.json] [--full]   (default: BENCH_micro.json)
+// Usage: perf_micro [output.json]   (default: BENCH_micro.json)
 //
 // The join comparison at 10k items / 32 keys-per-item is the acceptance
 // workload for the dense-counter rewrite: "dense" (flat CSR postings +
 // probe-side scoring array) must beat "hashmap" (the seed's packed-pair
-// unordered_map, kept as cooccurrence_join_reference) by >= 3x.
+// unordered_map, kept as cooccurrence_join_reference) by >= 3x. The run
+// FAILS (exit 2) if the join variants disagree on pair counts.
 //
-// The Louvain section times serial local moving against the deterministic
-// chunked-parallel path (1 and 4 threads) and FAILS (exit 2) if any
-// variant's partition diverges from serial — the same guard the join
-// section applies. --full adds the million-node graph (125000 cliques of
-// 8), too slow for every CI run but the scale the chunked path exists for.
+// The Louvain section times plain and refined Louvain on planted cliques.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_common.h"
@@ -27,14 +23,11 @@ namespace {
 using smash::graph::cooccurrence_join;
 using smash::graph::cooccurrence_join_parallel;
 using smash::graph::cooccurrence_join_reference;
-using smash::graph::LouvainOptions;
 using smash::graph::LouvainResult;
 
 // Set when any join variant disagrees on pair counts; main() turns it into
 // a nonzero exit so CI fails on kernel divergence instead of shipping it.
 bool g_join_mismatch = false;
-// Set when any chunked-parallel Louvain partition diverges from serial.
-bool g_louvain_mismatch = false;
 
 void bench_join(smash::bench::JsonReporter& report, std::uint32_t items,
                 std::uint32_t keys_per_item, int repeats) {
@@ -90,69 +83,27 @@ void bench_louvain(smash::bench::JsonReporter& report, std::uint32_t cliques,
   const auto g = smash::bench::planted_clique_graph(cliques, 8, 0.5, 11);
   const std::string suffix = std::to_string(cliques) + "x8";
 
-  LouvainResult serial;
+  LouvainResult plain;
   const double plain_ms = smash::bench::time_best_ms(repeats, [&] {
-    serial = smash::graph::louvain(g);
+    plain = smash::graph::louvain(g);
   });
   std::uint32_t communities = 0;
   const double refined_ms = smash::bench::time_best_ms(repeats, [&] {
     communities = smash::graph::louvain_refined(g).num_communities;
   });
 
-  // Chunked-parallel local moving, same auto chunk size at 1 and 4
-  // threads: chunked_t1 isolates the evaluate/apply overhead (no pool),
-  // chunked_t4 is the deployment shape. Both must be byte-identical to
-  // serial — measured results are worthless if the kernel diverged.
-  const auto bench_chunked = [&](unsigned threads) {
-    LouvainOptions options;
-    options.num_threads = threads;
-    options.chunk_size = threads == 1 ? 4096 : 0;  // force the path at t=1
-    LouvainResult chunked;
-    const double ms = smash::bench::time_best_ms(repeats, [&] {
-      chunked = smash::graph::louvain(g, options);
-    });
-    if (chunked.community_of != serial.community_of) {
-      std::fprintf(stderr, "louvain %s: chunked t=%u partition mismatch\n",
-                   suffix.c_str(), threads);
-      g_louvain_mismatch = true;
-    }
-    report.add("louvain/chunked_t" + std::to_string(threads) + "/" + suffix,
-               ms,
-               {{"speedup_vs_serial", plain_ms / ms},
-                {"chunks", static_cast<double>(chunked.stats.chunks)},
-                {"evaluated_nodes",
-                 static_cast<double>(chunked.stats.evaluated_nodes)},
-                {"stale_reevals",
-                 static_cast<double>(chunked.stats.stale_reevals)},
-                {"sweeps", static_cast<double>(chunked.stats.sweeps)}});
-    return ms;
-  };
-  const double chunked1_ms = bench_chunked(1);
-  const double chunked4_ms = bench_chunked(4);
-
-  report.add("louvain/plain/" + suffix, plain_ms, {{"Q", serial.modularity}});
+  report.add("louvain/plain/" + suffix, plain_ms, {{"Q", plain.modularity}});
   report.add("louvain/refined/" + suffix, refined_ms,
              {{"communities", static_cast<double>(communities)},
               {"planted", static_cast<double>(cliques)}});
-  std::printf(
-      "louvain %-9s plain %9.3f ms   refined %9.3f ms   chunked_t1 %9.3f ms   "
-      "chunked_t4 %9.3f ms (%.2fx)\n",
-      suffix.c_str(), plain_ms, refined_ms, chunked1_ms, chunked4_ms,
-      plain_ms / chunked4_ms);
+  std::printf("louvain %-9s plain %9.3f ms   refined %9.3f ms\n",
+              suffix.c_str(), plain_ms, refined_ms);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_micro.json";
-  bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_micro.json";
   smash::bench::JsonReporter report("micro");
 
   bench_join(report, 1000, 16, 5);
@@ -160,10 +111,8 @@ int main(int argc, char** argv) {
   bench_louvain(report, 200, 5);
   bench_louvain(report, 2000, 3);
   bench_louvain(report, 20000, 2);  // 160k nodes
-  if (full) bench_louvain(report, 125000, 1);  // the million-node graph
 
   if (!report.write(out_path)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
-  if (g_join_mismatch) return 2;
-  return g_louvain_mismatch ? 2 : 0;
+  return g_join_mismatch ? 2 : 0;
 }

@@ -28,19 +28,8 @@ DimensionAshes extract_ashes(Dimension dimension, graph::GraphBuilder builder,
   graph::Graph g = std::move(builder).build();
   out.graph_edges = g.num_edges();
 
-  // Louvain inherits this dimension's thread budget unless the caller
-  // pinned one explicitly (LouvainOptions::num_threads == 0 = inherit).
-  // Inside the concurrent dimension fan-out that budget is 1 for every
-  // dimension but the client one, which gets the leftover threads — the
-  // same discipline the sharded joins follow. The partition is identical
-  // for every thread count and chunk size (chunked-sweep determinism), so
-  // this changes wall-clock only.
-  graph::LouvainOptions louvain_options = config.louvain;
-  if (louvain_options.num_threads == 0) {
-    louvain_options.num_threads = std::max(1u, config.num_threads);
-  }
   obs::Span louvain_span("mine.louvain", dimension_name(dimension).data());
-  const auto louvain_result = graph::louvain_refined(g, louvain_options);
+  const auto louvain_result = graph::louvain_refined(g, config.louvain);
   louvain_span.finish();
   out.modularity = louvain_result.modularity;
   out.louvain_stats = louvain_result.stats;
@@ -56,27 +45,6 @@ DimensionAshes extract_ashes(Dimension dimension, graph::GraphBuilder builder,
     out.ashes.push_back(std::move(ash));
   }
   return out;
-}
-
-// One dimension's candidate-pair join, dispatched on the memory budget:
-// unbounded runs the single-pass (optionally probe-parallel) join; a
-// budget > 0 runs the key-range-sharded bounded-memory join. All three
-// paths produce byte-identical pairs and core JoinStats.
-std::vector<graph::CooccurrencePair> dimension_join(
-    std::span<const util::IdSet> key_sets, std::uint32_t min_shared,
-    const graph::JoinOptions& join_options, const SmashConfig& config,
-    unsigned join_threads, graph::JoinStats& stats) {
-  if (config.join_memory_budget_bytes > 0) {
-    return graph::cooccurrence_join_sharded(key_sets, min_shared, join_options,
-                                            config.join_memory_budget_bytes,
-                                            join_threads, &stats);
-  }
-  if (join_threads > 1) {
-    return graph::cooccurrence_join_parallel(key_sets, min_shared,
-                                             join_options, join_threads,
-                                             &stats);
-  }
-  return graph::cooccurrence_join(key_sets, min_shared, join_options, &stats);
 }
 
 // Estimated postings entries of each dimension's join, from the aggregate
@@ -110,27 +78,22 @@ std::vector<std::size_t> estimate_postings_entries(const PreprocessResult& pre,
   return entries;
 }
 
-// Splits join_memory_budget_bytes across the concurrently-mined dimensions.
-// Weighted mode (SmashConfig::weighted_budget_split, default): every
-// dimension is guaranteed a floor of a quarter of its even share (so a
-// small index is never starved into shard passes by a dominant sibling),
+// Splits join_memory_budget_bytes across the concurrently-mined dimensions:
+// every dimension is guaranteed a floor of a quarter of its even share (so
+// a small index is never starved into shard passes by a dominant sibling),
 // and the remaining ~3/4 of the budget is distributed in proportion to
 // each dimension's estimated postings entries — in practice the client
 // join dwarfs the others and stops paying re-probe passes for budget
-// parked on tiny dimensions. Even mode is the original split, kept for
-// comparison. Either way the slices sum to at most the budget (plus one
-// byte per dimension from the floor-to-1), and the split affects pass
+// parked on tiny dimensions. The slices sum to at most the budget (plus
+// one byte per dimension from the floor-to-1), and the split affects pass
 // counts only, never mined output.
 std::vector<std::size_t> split_join_budget(const PreprocessResult& pre,
                                            const whois::Registry& registry,
                                            int dimensions,
-                                           const SmashConfig& config) {
-  const auto budget = config.join_memory_budget_bytes;
+                                           std::size_t budget) {
   const auto even_share =
       std::max<std::size_t>(budget / static_cast<std::size_t>(dimensions), 1);
-  std::vector<std::size_t> slices(dimensions, even_share);
-  if (!config.weighted_budget_split) return slices;
-
+  std::vector<std::size_t> slices(dimensions);
   const auto entries = estimate_postings_entries(pre, registry, dimensions);
   unsigned __int128 total_weight = 0;
   // +1 per dimension: a zero-entry dimension still gets a sliver, and the
@@ -209,7 +172,8 @@ std::vector<SmashConfig> per_dimension_mining_configs(
             : 1;
   }
   if (config.join_memory_budget_bytes > 0) {
-    const auto slices = split_join_budget(pre, registry, dimensions, config);
+    const auto slices = split_join_budget(pre, registry, dimensions,
+                                          config.join_memory_budget_bytes);
     for (int d = 0; d < dimensions; ++d) {
       out[d].join_memory_budget_bytes = slices[d];
     }
@@ -393,9 +357,10 @@ DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
   join_options.max_postings_length = input.postings_cap;
   graph::JoinStats stats;
   obs::Span join_span("mine.join", dimension_name(dimension).data());
-  const auto pairs = dimension_join(input.key_sets, input.min_shared,
-                                    join_options, config, input.join_threads,
-                                    stats);
+  // Budget 0 is unbounded: one in-RAM pass.
+  const auto pairs = graph::cooccurrence_join_sharded(
+      input.key_sets, input.min_shared, join_options,
+      config.join_memory_budget_bytes, input.join_threads, &stats);
   join_span.finish();
 
   const auto edges = weight_dimension_pairs(input, pairs);
@@ -434,8 +399,8 @@ std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
   //
   // Budget-aware fan-out: dimensions mined concurrently hold postings
   // indexes at the same time, so each gets a slice of the join memory
-  // budget — cardinality-weighted by default, even otherwise (see
-  // split_join_budget) — and the sum of simultaneously resident postings
+  // budget, weighted by estimated postings cardinality (see
+  // split_join_budget), and the sum of simultaneously resident postings
   // stays within config.join_memory_budget_bytes. (Each dimension's
   // planner then picks its own pass count from that slice and its observed
   // key cardinalities; the serial path above runs dimensions one at a

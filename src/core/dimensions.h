@@ -50,7 +50,7 @@ unsigned dimension_join_threads(Dimension dimension,
 // concurrent fan-out every dimension but the client one is pinned to one
 // thread, the client dimension gets the leftover threads, and a non-zero
 // join_memory_budget_bytes is split across the slots (weighted by estimated
-// postings cardinality by default). Exposed so a staged caller can run each
+// postings cardinality). Exposed so a staged caller can run each
 // dimension under the exact config the fan-out would.
 std::vector<SmashConfig> per_dimension_mining_configs(
     const PreprocessResult& pre, const whois::Registry& registry,
@@ -79,12 +79,9 @@ struct DimensionAshes {
   // the whole index fit; more passes = bounded-memory key-range sharding
   // engaged, output unchanged).
   graph::JoinStats join_stats;
-  // Execution-shape counters of this dimension's Louvain run (refined;
-  // base pass + every refinement pass summed). Like JoinStats, these are
-  // observability only: the partition — and therefore the ashes — is
-  // byte-identical for every thread count and chunk size. sweeps/moves are
-  // invariant across both; chunks/stale_reevals depend on the chunk size
-  // (0 on the serial path) but not on the thread count.
+  // Work counters of this dimension's Louvain run (refined; base pass +
+  // every refinement pass summed). Louvain is serial, so these, like the
+  // partition, are the same at every thread count.
   graph::LouvainStats louvain_stats;
 
   std::size_t num_herded_servers() const;
@@ -143,9 +140,9 @@ DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
                                    std::span<const std::uint32_t> canon_to_kept);
 
 // Builds the similarity graph for `dimension` over pre.kept and extracts
-// ASHs. `registry` is only used by the Whois dimension. Honors
-// config.num_threads (probe-range-sharded join) and
-// config.join_memory_budget_bytes (key-range-sharded bounded-memory join);
+// ASHs. `registry` is only used by the Whois dimension. The join runs
+// graph::cooccurrence_join_sharded under config.join_memory_budget_bytes
+// (0 = one in-RAM pass), probing across dimension_join_threads threads;
 // mined output is identical for every thread count and budget.
 DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
                               const whois::Registry& registry,
@@ -155,11 +152,10 @@ DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
 // config.enable_param_dimension is set. With config.num_threads > 1 the
 // dimensions are mined concurrently (the client join gets the leftover
 // threads) and a non-zero join_memory_budget_bytes is divided across the
-// concurrently-mined dimensions — in proportion to each dimension's
-// estimated postings cardinality by default
-// (SmashConfig::weighted_budget_split), or evenly when that is off — so
-// total resident postings memory stays within the budget either way. The
-// split changes pass counts only, never mined output.
+// concurrently-mined dimensions in proportion to each dimension's
+// estimated postings cardinality, so total resident postings memory stays
+// within the budget. The split changes pass counts only, never mined
+// output.
 std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
                                                 const whois::Registry& registry,
                                                 const SmashConfig& config);

@@ -68,12 +68,10 @@ struct SmashResult {
   // see JoinStats::peak_resident_postings_bytes).
   std::size_t peak_resident_postings_bytes() const noexcept;
 
-  // Louvain execution-shape counters summed across the dimensions'
-  // community-detection runs (per-dimension detail stays on
-  // DimensionAshes::louvain_stats). Observability only — partitions are
-  // byte-identical for every thread count and chunk size; sweeps/moves are
-  // invariant across both knobs, chunks/stale_reevals record how hard the
-  // chunked path worked (both 0 when local moving ran serially).
+  // Louvain work counters summed across the dimensions' community-detection
+  // runs (per-dimension detail stays on DimensionAshes::louvain_stats).
+  // Observability only; like the partitions, they are the same at every
+  // thread count.
   graph::LouvainStats louvain_stats() const noexcept;
 };
 

@@ -79,16 +79,18 @@ struct SmashConfig {
 
   // Upper bound on the resident postings-index memory of any one
   // similarity join (unit: bytes; default 0 = unbounded, single in-RAM
-  // pass). When set, each join is key-range sharded
-  // (graph::cooccurrence_join_sharded): the key universe is partitioned
-  // into passes sized from the observed key cardinalities, passes run
-  // sequentially (re-probing the items once per pass), and the per-pass
-  // outputs merge into a result byte-identical to the unbounded join —
-  // week-scale batch windows complete exactly instead of relying on
-  // lowered postings caps that undercount. Interactions: with
-  // num_threads > 1 the concurrent dimension fan-out divides this budget
-  // evenly across the dimensions mined in parallel, so the SUM of
-  // simultaneously resident postings indexes stays within budget; within
+  // pass). Every join runs graph::cooccurrence_join_sharded with this
+  // budget; when it is set, the key universe is partitioned into passes
+  // sized from the observed key cardinalities, passes run sequentially
+  // (re-probing the items once per pass), and the per-pass outputs merge
+  // into a result byte-identical to the unbounded join — week-scale batch
+  // windows complete exactly instead of relying on lowered postings caps
+  // that undercount. Interactions: with num_threads > 1 the concurrent
+  // dimension fan-out divides this budget across the dimensions mined in
+  // parallel, so the SUM of simultaneously resident postings indexes stays
+  // within budget. Each dimension keeps a floor of a quarter of its even
+  // share and the rest goes in proportion to estimated postings entries,
+  // so the client join (by far the largest index) gets most of it. Within
   // a pass, probe sharding adds 4 bytes × kept-servers of counter scratch
   // per thread, which is NOT counted against the budget (it is
   // output-side, not postings-side). The only case a pass exceeds the
@@ -97,19 +99,6 @@ struct SmashConfig {
   // memory for passes: S passes re-scan the probe sets S times (see
   // docs/MEMORY.md for the worked week-scale numbers).
   std::size_t join_memory_budget_bytes = 0;
-
-  // How the concurrent dimension fan-out splits join_memory_budget_bytes
-  // across the dimensions mined in parallel. true (default): each
-  // dimension keeps a floor of a quarter of its even share and the rest
-  // of the budget is split in proportion to estimated postings entries
-  // (the client join — by far the largest index — gets most of the
-  // budget, so a skewed workload runs far fewer total shard passes).
-  // false: the even split of earlier releases. Either way the sum of
-  // simultaneously resident postings indexes stays within the budget, and
-  // the split only changes pass counts — mined output is byte-identical.
-  // Irrelevant when join_memory_budget_bytes == 0 or num_threads <= 1
-  // (dimensions mined one at a time each get the full budget).
-  bool weighted_budget_split = true;
 
   // --- pruning (paper §III-D) -------------------------------------------------
   // A server is "referred by" a host if at least this fraction of its
@@ -126,13 +115,8 @@ struct SmashConfig {
   // Mined output never depends on this pointer.
   obs::Registry* metrics = nullptr;
 
-  // Community-detection tunables, including the chunked-parallel local
-  // moving knobs: louvain.num_threads == 0 (default) inherits this
-  // config's per-dimension thread budget (num_threads overall; the
-  // leftover-thread share for the client dimension inside the concurrent
-  // fan-out), and louvain.chunk_size sizes the deterministic chunked
-  // sweeps. Partitions are byte-identical for every thread count and
-  // chunk size, so these trade wall-clock only.
+  // Community-detection tunables, passed to every dimension's Louvain run
+  // as they are. Louvain is serial; num_threads does not reach it.
   graph::LouvainOptions louvain;
 
   // Convenience: same threshold for both campaign classes (used by the

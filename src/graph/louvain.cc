@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace smash::graph {
 
 namespace {
 
 constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-
-// Auto chunk size of the chunked local-moving path: large enough that the
-// per-chunk apply pass and the stamp bookkeeping amortize, small enough
-// that frozen gains rarely go stale within a chunk.
-constexpr std::uint32_t kDefaultChunkSize = 4096;
 
 // Renumber arbitrary community labels to [0, k) preserving first-seen
 // order. Labels are always < labels.size() (they start as node ids or
@@ -33,8 +26,7 @@ std::uint32_t renumber(std::vector<std::uint32_t>& labels) {
 }
 
 // Dense weight-to-adjacent-community accumulator with a touched list; all
-// zero between nodes. One per evaluation worker (the chunked path probes
-// several nodes concurrently) plus one for the apply/serial pass.
+// zero between nodes.
 struct MoveScratch {
   std::vector<double> weight_to_comm;
   std::vector<std::uint32_t> touched;
@@ -46,12 +38,11 @@ struct MoveScratch {
   }
 };
 
-// Picks the best community for `v` under the given community/tot state,
-// with exactly the arithmetic and tie-break of the seed serial sweep: tot
-// is read as if v had been removed from its own community (tot[old] - k_v,
-// the same subtraction the seed performed in place), and candidates are
-// scanned in ascending community id so the tie-break is independent of
-// adjacency order. Pure apart from `scratch`, which is left zeroed.
+// Picks the best community for `v` under the given community/tot state:
+// tot is read as if v had been removed from its own community
+// (tot[old] - k_v), and candidates are scanned in ascending community id
+// so the tie-break is independent of adjacency order. Pure apart from
+// `scratch`, which is left zeroed.
 std::uint32_t best_move(const Graph& g, std::uint32_t v,
                         const std::vector<std::uint32_t>& community_of,
                         const std::vector<double>& tot, double inv_m,
@@ -100,8 +91,8 @@ struct LevelResult {
   bool improved = false;
 };
 
-// The seed's serial sweep: visit nodes in id order, each seeing every
-// earlier move of the same sweep.
+// Serial sweeps: visit nodes in id order, each seeing every earlier move
+// of the same sweep.
 void serial_sweeps(const Graph& g, const LouvainOptions& options,
                    std::vector<std::uint32_t>& community_of,
                    std::vector<double>& tot, double inv_m, bool& improved,
@@ -111,7 +102,7 @@ void serial_sweeps(const Graph& g, const LouvainOptions& options,
   scratch.reset(n);
 
   for (int sweep = 0; sweep < options.max_sweeps_per_level; ++sweep) {
-    SMASH_SPAN("louvain.sweep", "serial");
+    SMASH_SPAN("louvain.sweep");
     ++stats.sweeps;
     bool moved_this_sweep = false;
     for (std::uint32_t v = 0; v < n; ++v) {
@@ -120,9 +111,9 @@ void serial_sweeps(const Graph& g, const LouvainOptions& options,
       const std::uint32_t best =
           best_move(g, v, community_of, tot, inv_m, options, scratch);
       ++stats.evaluated_nodes;
-      // Exactly the seed's tot updates: remove v, re-add to the winner
-      // (same slot when best == old_comm — the -k_v/+k_v round trip is NOT
-      // always a floating-point no-op, and the chunked path replicates it).
+      // Remove v, re-add to the winner (same slot when best == old_comm —
+      // the -k_v/+k_v round trip is NOT always a floating-point no-op, and
+      // the partition depends on it).
       tot[old_comm] -= k_v;
       tot[best] += k_v;
       if (best != old_comm) {
@@ -136,130 +127,8 @@ void serial_sweeps(const Graph& g, const LouvainOptions& options,
   }
 }
 
-// Chunked sweeps: evaluate a chunk of nodes in parallel against the state
-// frozen at chunk start, then apply in node order with a staleness check.
-//
-// The apply pass trusts a frozen proposal only when nothing the node's
-// serial evaluation would read has changed since chunk start:
-//  - no neighbor of v changed community this chunk (weight-to-community
-//    contributions, and thus the candidate set, are unchanged), and
-//  - tot[] is unchanged for v's own community and for every candidate
-//    community (the communities of v's neighbors) — including the
-//    floating-point perturbation a no-move node's -k_v/+k_v round trip can
-//    leave behind, which the apply pass detects by comparing tot before
-//    and after.
-// When the check passes, the frozen evaluation is bit-for-bit the serial
-// evaluation; when it fails, the node is re-evaluated serially against the
-// live state. Either way the applied move is exactly the serial move, so
-// the whole trajectory — and the final partition — matches the serial
-// sweep for every thread count and chunk size.
-void chunked_sweeps(const Graph& g, const LouvainOptions& options,
-                    util::ThreadPool* pool, unsigned threads,
-                    std::vector<std::uint32_t>& community_of,
-                    std::vector<double>& tot, double inv_m, bool& improved,
-                    LouvainStats& stats) {
-  const std::uint32_t n = g.num_nodes();
-  const std::uint32_t chunk =
-      options.chunk_size > 0 ? options.chunk_size : kDefaultChunkSize;
-
-  // Per-worker dense scratch; slot 0 doubles as the apply-pass scratch
-  // (evaluation has completed by the time apply runs).
-  const unsigned workers = pool != nullptr ? std::max(1u, threads) : 1u;
-  std::vector<MoveScratch> scratch(workers);
-  for (auto& s : scratch) s.reset(n);
-
-  std::vector<std::uint32_t> proposal(std::min<std::uint64_t>(chunk, n));
-  // Epoch stamps instead of per-chunk clearing: a node/community is
-  // "dirty" when its stamp equals the current chunk's epoch.
-  std::vector<std::uint64_t> node_moved_epoch(n, 0);
-  std::vector<std::uint64_t> comm_dirty_epoch(n, 0);
-  std::uint64_t epoch = 0;
-
-  for (int sweep = 0; sweep < options.max_sweeps_per_level; ++sweep) {
-    SMASH_SPAN("louvain.sweep", "chunked");
-    ++stats.sweeps;
-    bool moved_this_sweep = false;
-
-    for (std::uint64_t chunk_begin = 0; chunk_begin < n; chunk_begin += chunk) {
-      const auto begin = static_cast<std::uint32_t>(chunk_begin);
-      const auto end = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(chunk_begin + chunk, n));
-      const std::uint32_t count = end - begin;
-      ++epoch;
-      ++stats.chunks;
-      stats.evaluated_nodes += count;
-
-      // Evaluate: pure reads of community_of/tot (frozen — the apply pass
-      // of this chunk has not run), disjoint writes into `proposal`.
-      if (pool != nullptr && workers > 1 && count > 1) {
-        const unsigned slices = std::min<std::uint32_t>(workers, count);
-        util::parallel_for(*pool, slices, [&](std::size_t slice) {
-          MoveScratch& mine = scratch[slice];
-          const auto lo = begin + static_cast<std::uint32_t>(
-                                      std::uint64_t{count} * slice / slices);
-          const auto hi = begin + static_cast<std::uint32_t>(
-                                      std::uint64_t{count} * (slice + 1) / slices);
-          for (std::uint32_t v = lo; v < hi; ++v) {
-            proposal[v - begin] =
-                best_move(g, v, community_of, tot, inv_m, options, mine);
-          }
-        });
-      } else {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          proposal[v - begin] =
-              best_move(g, v, community_of, tot, inv_m, options, scratch[0]);
-        }
-      }
-
-      // Apply in node order, re-evaluating serially on stale gains.
-      for (std::uint32_t v = begin; v < end; ++v) {
-        const std::uint32_t old_comm = community_of[v];
-        const double k_v = g.weighted_degree(v);
-
-        bool stale = comm_dirty_epoch[old_comm] == epoch;
-        if (!stale) {
-          for (const auto& nb : g.neighbors(v)) {
-            if (nb.node == v) continue;
-            if (node_moved_epoch[nb.node] == epoch ||
-                comm_dirty_epoch[community_of[nb.node]] == epoch) {
-              stale = true;
-              break;
-            }
-          }
-        }
-
-        std::uint32_t best;
-        if (stale) {
-          best = best_move(g, v, community_of, tot, inv_m, options, scratch[0]);
-          ++stats.stale_reevals;
-        } else {
-          best = proposal[v - begin];
-        }
-
-        const double tot_old_before = tot[old_comm];
-        tot[old_comm] -= k_v;
-        tot[best] += k_v;
-        if (best != old_comm) {
-          community_of[v] = best;
-          node_moved_epoch[v] = epoch;
-          comm_dirty_epoch[old_comm] = epoch;
-          comm_dirty_epoch[best] = epoch;
-          moved_this_sweep = true;
-          improved = true;
-          ++stats.moves;
-        } else if (tot[old_comm] != tot_old_before) {
-          // The -k_v/+k_v round trip rounded: later frozen proposals that
-          // read this community's tot are no longer the serial evaluation.
-          comm_dirty_epoch[old_comm] = epoch;
-        }
-      }
-    }
-    if (!moved_this_sweep) break;
-  }
-}
-
 LevelResult local_moving(const Graph& g, const LouvainOptions& options,
-                         util::ThreadPool* pool, LouvainStats& stats) {
+                         LouvainStats& stats) {
   const std::uint32_t n = g.num_nodes();
   const double two_m = 2.0 * g.total_weight();
 
@@ -276,14 +145,8 @@ LevelResult local_moving(const Graph& g, const LouvainOptions& options,
   std::vector<double> tot(n, 0.0);
   for (std::uint32_t v = 0; v < n; ++v) tot[v] = g.weighted_degree(v);
 
-  const bool chunked = options.num_threads > 1 || options.chunk_size > 0;
-  if (chunked) {
-    chunked_sweeps(g, options, pool, std::max(1u, options.num_threads),
-                   result.community_of, tot, inv_m, result.improved, stats);
-  } else {
-    serial_sweeps(g, options, result.community_of, tot, inv_m,
-                  result.improved, stats);
-  }
+  serial_sweeps(g, options, result.community_of, tot, inv_m, result.improved,
+                stats);
 
   result.num_communities = renumber(result.community_of);
   return result;
@@ -334,17 +197,17 @@ Graph aggregate(const Graph& g, const std::vector<std::uint32_t>& community_of,
   return std::move(builder).build();
 }
 
-// Shared worker pool for one louvain()/louvain_refined() call: created once
-// when the options ask for parallel local moving, reused across levels and
-// refinement passes. parallel_for also drains on the calling thread, so the
-// pool is sized one short of the thread budget.
-std::unique_ptr<util::ThreadPool> make_pool(const LouvainOptions& options) {
-  if (options.num_threads <= 1) return nullptr;
-  return std::make_unique<util::ThreadPool>(options.num_threads - 1);
+}  // namespace
+
+std::vector<std::vector<std::uint32_t>> LouvainResult::groups() const {
+  std::vector<std::vector<std::uint32_t>> out(num_communities);
+  for (std::uint32_t v = 0; v < community_of.size(); ++v) {
+    out[community_of[v]].push_back(v);
+  }
+  return out;
 }
 
-LouvainResult louvain_impl(const Graph& g, const LouvainOptions& options,
-                           util::ThreadPool* pool) {
+LouvainResult louvain(const Graph& g, const LouvainOptions& options) {
   const std::uint32_t n = g.num_nodes();
   LouvainResult result;
   result.community_of.resize(n);
@@ -355,7 +218,7 @@ LouvainResult louvain_impl(const Graph& g, const LouvainOptions& options,
   const Graph* current = &g;  // avoids copying the input for level 0
 
   for (int level = 0; level < options.max_levels; ++level) {
-    LevelResult lvl = local_moving(*current, options, pool, result.stats);
+    LevelResult lvl = local_moving(*current, options, result.stats);
     if (!lvl.improved && level > 0) break;
 
     // Compose: original node -> level community.
@@ -377,24 +240,8 @@ LouvainResult louvain_impl(const Graph& g, const LouvainOptions& options,
   return result;
 }
 
-}  // namespace
-
-std::vector<std::vector<std::uint32_t>> LouvainResult::groups() const {
-  std::vector<std::vector<std::uint32_t>> out(num_communities);
-  for (std::uint32_t v = 0; v < community_of.size(); ++v) {
-    out[community_of[v]].push_back(v);
-  }
-  return out;
-}
-
-LouvainResult louvain(const Graph& g, const LouvainOptions& options) {
-  const auto pool = make_pool(options);
-  return louvain_impl(g, options, pool.get());
-}
-
 LouvainResult louvain_refined(const Graph& g, const LouvainOptions& options) {
-  const auto pool = make_pool(options);
-  LouvainResult base = louvain_impl(g, options, pool.get());
+  LouvainResult base = louvain(g, options);
   LouvainStats stats = base.stats;
 
   // Work queue of communities to try splitting (member lists over g).
@@ -425,7 +272,7 @@ LouvainResult louvain_refined(const Graph& g, const LouvainOptions& options) {
     }
     for (auto u : members) local_id[u] = kUnset;
     const Graph sub = std::move(builder).build();
-    const LouvainResult split = louvain_impl(sub, options, pool.get());
+    const LouvainResult split = louvain(sub, options);
     stats += split.stats;
 
     if (split.num_communities <= 1) {

@@ -14,14 +14,13 @@ namespace {
 // Flat CSR inverted index over the key range [key_base, key_base +
 // num_keys): postings of key k are entries[offsets[k - key_base] ..
 // offsets[k - key_base + 1]), in ascending item order (guaranteed by the
-// counting-sort build iterating items in order). key_base is 0 for the
-// whole-universe index; the bounded-memory sharded join builds one rebased
-// index per key range.
+// counting-sort build iterating items in order). The join builds one
+// index per planned key range; key_base is 0 for the first (or only) one.
 struct PostingsIndex {
   std::vector<std::size_t> offsets;     // size num_keys + 1
   std::vector<std::uint32_t> entries;   // item ids
   std::uint32_t key_base = 0;           // first key this index covers
-  std::uint32_t num_keys = 0;           // keys covered (0 when no keys)
+  std::uint32_t num_keys = 0;           // keys covered
 
   std::size_t offset(std::uint32_t key) const {
     return offsets[key - key_base];
@@ -39,41 +38,9 @@ void validate_normalized(std::span<const util::IdSet> items) {
   }
 }
 
-PostingsIndex build_postings(std::span<const util::IdSet> items) {
-  validate_normalized(items);
-  PostingsIndex index;
-  std::uint32_t max_key = 0;
-  bool any_key = false;
-  std::size_t total_entries = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!items[i].empty()) {
-      any_key = true;
-      max_key = std::max(max_key, items[i].values().back());
-      total_entries += items[i].size();
-    }
-  }
-  index.num_keys = any_key ? max_key + 1 : 0;
-
-  index.offsets.assign(index.num_keys + 1, 0);
-  for (const auto& item : items) {
-    for (auto key : item) ++index.offsets[key + 1];
-  }
-  for (std::uint32_t k = 0; k < index.num_keys; ++k) {
-    index.offsets[k + 1] += index.offsets[k];
-  }
-
-  index.entries.resize(total_entries);
-  std::vector<std::size_t> cursor(index.offsets.begin(),
-                                  index.offsets.end() - 1);
-  for (std::uint32_t i = 0; i < items.size(); ++i) {
-    for (auto key : items[i]) index.entries[cursor[key]++] = i;
-  }
-  return index;
-}
-
-// Rebased postings index covering only keys in [key_begin, key_end).
-// Inputs must already be validated as normalized. The resident footprint
-// of the returned index (offsets + build cursor + entries) is exactly
+// Postings index covering only keys in [key_begin, key_end). Inputs must
+// already be validated as normalized. The resident footprint of the
+// returned index (offsets + build cursor + entries) is exactly
 // postings_bytes(key_end - key_begin, entries in range) — the quantity
 // plan_key_shards budgets for.
 PostingsIndex build_postings_range(std::span<const util::IdSet> items,
@@ -108,10 +75,10 @@ PostingsIndex build_postings_range(std::span<const util::IdSet> items,
   return index;
 }
 
-// Counts co-occurrences for probe items in [a_begin, a_end) against the
-// shared postings index, appending (a, b, count) triples grouped by `a` in
-// ascending (a, b) order. `counts` must be all-zero on entry and of size
-// >= items.size(); it is restored to all-zero on exit.
+// Counts co-occurrences for probe items in [a_begin, a_end) against one
+// key range's postings index, appending (a, b, count) triples grouped by
+// `a` in ascending (a, b) order. `counts` must be all-zero on entry and of
+// size >= items.size(); it is restored to all-zero on exit.
 void count_probe_range(std::span<const util::IdSet> items,
                        const PostingsIndex& index, std::uint32_t a_begin,
                        std::uint32_t a_end, std::uint32_t min_shared,
@@ -152,9 +119,9 @@ void count_probe_range(std::span<const util::IdSet> items,
   }
 }
 
-// Accumulates (does not reset) key counters so the sharded join can sum
-// across passes; every key lives in exactly one pass, so the totals match
-// the single-pass join's.
+// Accumulates (does not reset) key counters so a multi-pass join sums
+// them across passes; every key lives in exactly one pass, so the totals
+// do not depend on the pass count.
 void fill_key_stats(const PostingsIndex& index,
                     std::uint32_t max_postings_length, JoinStats& stats) {
   stats.postings_entries += index.entries.size();
@@ -175,75 +142,14 @@ void fill_key_stats(const PostingsIndex& index,
 std::vector<CooccurrencePair> cooccurrence_join(
     std::span<const util::IdSet> items, std::uint32_t min_shared,
     const JoinOptions& options, JoinStats* stats) {
-  if (min_shared == 0) {
-    throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
-  }
-  const PostingsIndex index = build_postings(items);
-
-  JoinStats local;
-  local.shard_passes = 1;
-  local.peak_resident_postings_bytes =
-      postings_bytes(index.num_keys, index.entries.size());
-  fill_key_stats(index, options.max_postings_length, local);
-
-  std::vector<CooccurrencePair> out;
-  std::vector<std::uint32_t> counts(items.size(), 0);
-  std::vector<std::uint32_t> touched;
-  count_probe_range(items, index, 0, static_cast<std::uint32_t>(items.size()),
-                    min_shared, options.max_postings_length, counts, touched,
-                    out, local.candidate_pairs);
-  local.emitted_pairs = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return cooccurrence_join_sharded(items, min_shared, options, 0, 1, stats);
 }
 
 std::vector<CooccurrencePair> cooccurrence_join_parallel(
     std::span<const util::IdSet> items, std::uint32_t min_shared,
     const JoinOptions& options, unsigned num_threads, JoinStats* stats) {
-  constexpr std::size_t kMinItemsPerShard = 256;
-  const std::size_t n = items.size();
-  unsigned shards = num_threads == 0 ? 1 : num_threads;
-  shards = static_cast<unsigned>(
-      std::min<std::size_t>(shards, std::max<std::size_t>(n / kMinItemsPerShard, 1)));
-  if (shards <= 1) return cooccurrence_join(items, min_shared, options, stats);
-  if (min_shared == 0) {
-    throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
-  }
-
-  const PostingsIndex index = build_postings(items);
-
-  JoinStats local;
-  local.shard_passes = 1;
-  local.peak_resident_postings_bytes =
-      postings_bytes(index.num_keys, index.entries.size());
-  fill_key_stats(index, options.max_postings_length, local);
-
-  std::vector<std::vector<CooccurrencePair>> shard_out(shards);
-  std::vector<std::size_t> shard_candidates(shards, 0);
-  util::ThreadPool pool(std::min(num_threads, shards));
-  util::parallel_for(pool, shards, [&](std::size_t s) {
-    const auto lo = static_cast<std::uint32_t>(n * s / shards);
-    const auto hi = static_cast<std::uint32_t>(n * (s + 1) / shards);
-    std::vector<std::uint32_t> counts(n, 0);
-    std::vector<std::uint32_t> touched;
-    count_probe_range(items, index, lo, hi, min_shared,
-                      options.max_postings_length, counts, touched,
-                      shard_out[s], shard_candidates[s]);
-  });
-
-  std::vector<CooccurrencePair> out;
-  std::size_t total = 0;
-  for (const auto& part : shard_out) total += part.size();
-  out.reserve(total);
-  // Shards are contiguous ascending probe ranges, so plain concatenation
-  // reproduces the serial (a, b) order exactly.
-  for (auto& part : shard_out) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  for (const auto c : shard_candidates) local.candidate_pairs += c;
-  local.emitted_pairs = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return cooccurrence_join_sharded(items, min_shared, options, 0, num_threads,
+                                   stats);
 }
 
 KeyShardPlan plan_key_shards(std::span<const util::IdSet> items,
@@ -344,25 +250,23 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
   if (min_shared == 0) {
     throw std::invalid_argument("cooccurrence_join: min_shared must be >= 1");
   }
-  const KeyShardPlan plan = plan_key_shards(items, memory_budget_bytes);
-  if (plan.ranges.size() <= 1) {
-    // The whole index fits the budget (or there are no keys at all): the
-    // single-pass join is the bounded-memory join. It validates the
-    // items itself, so an unnormalized input still throws even though
-    // the plan above was computed on garbage.
-    return cooccurrence_join_parallel(items, min_shared, options, num_threads,
-                                      stats);
-  }
   validate_normalized(items);
+  const KeyShardPlan plan = plan_key_shards(items, memory_budget_bytes);
 
+  // An input with no keys still counts as one pass over an empty index.
   JoinStats local;
-  local.shard_passes = plan.ranges.size();
-  local.peak_resident_postings_bytes = plan.peak_bytes;
+  local.shard_passes = std::max<std::size_t>(plan.ranges.size(), 1);
+  local.peak_resident_postings_bytes =
+      plan.ranges.empty() ? plan.total_bytes : plan.peak_bytes;
+  if (plan.ranges.empty()) {
+    if (stats != nullptr) *stats = local;
+    return {};
+  }
 
   const std::size_t n = items.size();
-  // Within a pass the probe is range-sharded exactly like
-  // cooccurrence_join_parallel; passes themselves run sequentially so at
-  // most one range's postings index is ever resident.
+  // The probe is split into contiguous item ranges across the threads;
+  // key-range passes run one after another, so at most one range's
+  // postings index is ever resident.
   constexpr std::size_t kMinItemsPerShard = 256;
   unsigned probe_shards = num_threads == 0 ? 1 : num_threads;
   probe_shards = static_cast<unsigned>(std::min<std::size_t>(
@@ -377,6 +281,13 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
       probe_shards, std::vector<std::uint32_t>(n, 0));
   std::vector<std::vector<std::uint32_t>> touched(probe_shards);
 
+  // A single pass sees every key, so its counts are final and min_shared
+  // filters inside the probe. Counts of one pass among several are
+  // partial: every touched pair is kept and the filter runs after the
+  // merge, so pairs whose shared keys span ranges are never lost.
+  const std::uint32_t probe_min_shared =
+      plan.ranges.size() == 1 ? min_shared : 1;
+
   std::vector<std::vector<CooccurrencePair>> pass_out;
   pass_out.reserve(plan.ranges.size());
   for (const auto& range : plan.ranges) {
@@ -389,18 +300,23 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     const auto probe = [&](std::size_t s) {
       const auto lo = static_cast<std::uint32_t>(n * s / probe_shards);
       const auto hi = static_cast<std::uint32_t>(n * (s + 1) / probe_shards);
-      // Per-pass counts are partial, so every touched pair is emitted
-      // (min_shared 1 here); the real filter runs after the merge.
-      count_probe_range(items, index, lo, hi, 1, options.max_postings_length,
-                        counts[s], touched[s], shard_out[s],
-                        shard_candidates[s]);
+      count_probe_range(items, index, lo, hi, probe_min_shared,
+                        options.max_postings_length, counts[s], touched[s],
+                        shard_out[s], shard_candidates[s]);
     };
     if (probe_shards > 1) {
       util::parallel_for(*pool, probe_shards, probe);
     } else {
       probe(0);
     }
+    for (const auto c : shard_candidates) local.candidate_pairs += c;
 
+    // Shards are contiguous ascending probe ranges, so concatenation keeps
+    // the pass grouped in (a, b) order.
+    if (probe_shards == 1) {
+      pass_out.push_back(std::move(shard_out.front()));
+      continue;
+    }
     std::vector<CooccurrencePair> merged_pass;
     std::size_t total = 0;
     for (const auto& part : shard_out) total += part.size();
@@ -408,7 +324,6 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     for (auto& part : shard_out) {
       merged_pass.insert(merged_pass.end(), part.begin(), part.end());
     }
-    for (const auto c : shard_candidates) local.candidate_pairs += c;
     pass_out.push_back(std::move(merged_pass));
   }
 
@@ -426,7 +341,7 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
   }
 
   std::vector<CooccurrencePair> out = std::move(pass_out.front());
-  if (min_shared > 1) {
+  if (probe_min_shared < min_shared) {
     std::erase_if(out, [min_shared](const CooccurrencePair& pair) {
       return pair.shared_keys < min_shared;
     });

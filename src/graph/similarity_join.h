@@ -13,6 +13,12 @@
 // keyed by packed pairs. Output is produced already grouped by `a` in
 // ascending (a, b) order, so no final sort is needed and results are
 // byte-identical across runs.
+//
+// One kernel, cooccurrence_join_sharded, runs every join: a loop over the
+// planned key ranges (one range unless a memory budget forces more), each
+// probed in contiguous item shards across the worker threads.
+// cooccurrence_join and cooccurrence_join_parallel are the unbounded
+// special cases of it.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +50,15 @@ struct JoinOptions {
   // explosion* guard, not a memory guard; for memory, use the key-range
   // sharded join below. JoinStats reports how often it fired so the
   // undercount is observable instead of silent. A key's length is always
-  // its full postings length, so the cap fires identically in the in-RAM,
-  // probe-parallel, and key-range-sharded joins (independent of
-  // num_threads and of any memory budget).
+  // its full postings length, so the cap fires identically at every thread
+  // count and memory budget.
   std::uint32_t max_postings_length = 20000;
 };
 
 // Observability counters for one join invocation. All counters except
 // `shard_passes` and `peak_resident_postings_bytes` are invariant across
-// the serial, probe-parallel, and key-range-sharded execution strategies
-// (every key is indexed and probed exactly once in each of them).
+// thread counts and memory budgets (every key is indexed and probed
+// exactly once in every pass plan).
 struct JoinStats {
   std::size_t num_keys = 0;              // distinct keys indexed
   std::size_t postings_entries = 0;      // total (key, item) entries
@@ -63,15 +68,14 @@ struct JoinStats {
   std::size_t candidate_pairs = 0;       // counter increments performed
   std::size_t emitted_pairs = 0;         // pairs meeting min_shared
   // Key-range passes this join ran: 1 = a single in-RAM postings index
-  // (cooccurrence_join / _parallel, or a budget large enough for one
-  // pass); > 1 = the bounded-memory sharded join rebuilt the index that
+  // (no budget, a budget large enough for one pass, or an input with no
+  // keys); > 1 = a memory budget made the join rebuild the index that
   // many times. 0 only in a default-constructed JoinStats (no join ran).
   std::size_t shard_passes = 0;
   // Largest postings-index footprint (bytes: offsets + build cursor +
-  // entries) resident at any moment. For the sharded join this is the
-  // biggest single pass and is <= the memory budget unless one key alone
-  // exceeds it (degenerate case — the key still gets a pass of its own,
-  // and the overshoot is visible here).
+  // entries) resident at any moment: the biggest single pass, <= the
+  // memory budget unless one key alone exceeds it (degenerate case — the
+  // key still gets a pass of its own, and the overshoot is visible here).
   std::size_t peak_resident_postings_bytes = 0;
 
   friend bool operator==(const JoinStats&, const JoinStats&) = default;
@@ -81,17 +85,17 @@ struct JoinStats {
 // shared_keys >= min_shared, each pair exactly once with a < b, sorted by
 // (a, b). Deterministic: identical inputs yield identical outputs. When
 // `stats` is non-null it is overwritten with this invocation's counters.
+// Serial and unbounded: cooccurrence_join_sharded with budget 0 and one
+// thread.
 std::vector<CooccurrencePair> cooccurrence_join(
     std::span<const util::IdSet> items, std::uint32_t min_shared = 1,
     const JoinOptions& options = {}, JoinStats* stats = nullptr);
 
-// Probe-range-sharded parallel join: identical output to the serial form
-// (shards are contiguous ranges of `a`, concatenated in order), using up to
-// `num_threads` worker threads. Falls back to the serial join when
-// num_threads <= 1 or the input is small. The full postings index is
-// resident (JoinStats::shard_passes == 1) plus one dense counter array of
-// 4 * items.size() bytes per worker; for a bounded postings footprint use
-// cooccurrence_join_sharded.
+// Unbounded join probed across up to `num_threads` worker threads:
+// cooccurrence_join_sharded with budget 0. Output is identical to the
+// serial form. The full postings index is resident
+// (JoinStats::shard_passes == 1) plus one dense counter array of
+// 4 * items.size() bytes per worker.
 std::vector<CooccurrencePair> cooccurrence_join_parallel(
     std::span<const util::IdSet> items, std::uint32_t min_shared,
     const JoinOptions& options, unsigned num_threads,
@@ -136,18 +140,18 @@ constexpr std::size_t postings_bytes(std::size_t num_keys,
 KeyShardPlan plan_key_shards(std::span<const util::IdSet> items,
                              std::size_t memory_budget_bytes);
 
-// Bounded-memory key-range-sharded join: runs the CSR build + dense-counter
-// probe once per planned key range (passes run sequentially, so at most one
-// range's postings index is resident), then merges the per-pass grouped
-// outputs in (a, b) order, summing partial shared-key counts. Output is
-// byte-identical to cooccurrence_join for every budget and thread count;
-// min_shared is applied after the merge, so pairs whose shared keys span
-// ranges are never lost. Within each pass the probe is range-sharded
-// across up to `num_threads` workers (the same probe sharding
-// cooccurrence_join_parallel uses). memory_budget_bytes == 0, or a budget
-// the whole index fits in, degrades to the single-pass join. Peak resident
-// postings memory is reported in JoinStats::peak_resident_postings_bytes;
-// it exceeds the budget only when one key alone does (degenerate case).
+// The join kernel: runs the CSR build + dense-counter probe once per
+// planned key range (passes run sequentially, so at most one range's
+// postings index is resident), then merges the per-pass grouped outputs in
+// (a, b) order, summing partial shared-key counts. Output is byte-identical
+// for every budget and thread count. With one range (memory_budget_bytes
+// == 0, or a budget the whole index fits in) min_shared filters inside the
+// probe; with several it is applied after the merge, so pairs whose shared
+// keys span ranges are never lost. Within each pass the probe is split
+// into contiguous item ranges across up to `num_threads` workers (inputs
+// under 256 items per worker use fewer). Peak resident postings memory is
+// reported in JoinStats::peak_resident_postings_bytes; it exceeds the
+// budget only when one key alone does (degenerate case).
 std::vector<CooccurrencePair> cooccurrence_join_sharded(
     std::span<const util::IdSet> items, std::uint32_t min_shared,
     const JoinOptions& options, std::size_t memory_budget_bytes,

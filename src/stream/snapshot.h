@@ -101,12 +101,11 @@ class DetectionSnapshot {
     return peak_resident_postings_bytes_;
   }
 
-  // Louvain execution shape while mining this window, summed across the
-  // dimensions (SmashResult::louvain_stats()): sweeps/moves describe how
-  // hard community detection converged, chunks/stale_reevals how much of
-  // it ran on the chunked-parallel path (both 0 when local moving was
-  // serial). Like the join counters above, pure observability — verdicts
-  // are byte-identical for every thread count and chunk size.
+  // Louvain work while mining this window, summed across the dimensions
+  // (SmashResult::louvain_stats()): sweeps/moves/evaluated_nodes describe
+  // how hard community detection converged. Like the join counters above,
+  // pure observability — verdicts are byte-identical for every thread
+  // count.
   const graph::LouvainStats& louvain_stats() const noexcept {
     return louvain_stats_;
   }

@@ -3,8 +3,8 @@
 //  - random traces through SmashPipeline at threads {1, 4} x join budgets
 //    {unbounded, tiny} must produce identical SmashResults — every
 //    execution strategy (probe-parallel joins, key-range-sharded joins,
-//    chunked-parallel Louvain, concurrent dimension fan-out with the
-//    weighted budget split) is a pure wall-clock/memory trade;
+//    concurrent dimension fan-out with the weighted budget split) is a
+//    pure wall-clock/memory trade;
 //  - random event schedules (late events, multi-epoch gaps) through sync
 //    vs async StreamEngines must publish byte-identical final snapshots
 //    with every epoch close accounted.

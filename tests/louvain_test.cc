@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "test_helpers.h"
+
 namespace smash::graph {
 namespace {
 
@@ -48,6 +50,44 @@ TEST(Louvain, SingleCliqueStaysTogether) {
   }
   const auto result = louvain(std::move(builder).build());
   EXPECT_EQ(result.num_communities, 1u);
+}
+
+TEST(Louvain, EmptyGraphHasNoCommunities) {
+  const Graph g = GraphBuilder(0).build();
+  for (const auto& result : {louvain(g), louvain_refined(g)}) {
+    EXPECT_EQ(result.num_communities, 0u);
+    EXPECT_TRUE(result.community_of.empty());
+  }
+}
+
+TEST(Louvain, CliquePlusIsolatedNodes) {
+  // A 6-clique and 6 isolated stragglers: the clique is one community and
+  // every isolated node its own singleton.
+  GraphBuilder builder(12);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    for (std::uint32_t j = i + 1; j < 6; ++j) builder.add_edge(i, j, 1.0);
+  }
+  const Graph g = std::move(builder).build();
+  for (const auto& result : {louvain(g), louvain_refined(g)}) {
+    EXPECT_EQ(result.num_communities, 7u);
+    std::set<std::uint32_t> labels;
+    for (std::uint32_t v = 0; v < 12; ++v) {
+      if (v < 6) {
+        EXPECT_EQ(result.community_of[v], result.community_of[0]);
+      } else {
+        labels.insert(result.community_of[v]);
+      }
+    }
+    EXPECT_EQ(labels.size(), 6u);
+    EXPECT_EQ(labels.count(result.community_of[0]), 0u);
+  }
+}
+
+TEST(Louvain, StatsCountWorkOnClusteredGraph) {
+  const Graph g = test::random_clustered_graph(12, 8, 0.8, 7);
+  const auto result = louvain(g);
+  EXPECT_GT(result.stats.sweeps, 0u);
+  EXPECT_GT(result.stats.evaluated_nodes, 0u);
 }
 
 TEST(Louvain, Deterministic) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/pipeline.h"
@@ -201,8 +202,8 @@ TEST(ParallelMining, BudgetedJoinsMatchUnbounded) {
 
 // A workload whose client join dwarfs every other dimension's: the
 // cardinality-weighted budget split should park almost the whole budget on
-// the client dimension and spend far fewer total shard passes than the
-// even split — with byte-identical mined output either way.
+// the client dimension and spend far fewer total shard passes than an
+// even split would — with byte-identical mined output either way.
 net::Trace skewed_trace() {
   net::Trace trace;
   // 30 servers, each visited by an overlapping window of 80 distinct
@@ -230,24 +231,38 @@ TEST(ParallelMining, WeightedBudgetSplitReducesShardPasses) {
   const auto unbounded = mine_all_dimensions(pre, registry, config);
 
   // A budget that fits the client index whole but not a quarter of it.
-  config.join_memory_budget_bytes = 16384;
-
-  config.weighted_budget_split = false;
-  const auto even = mine_all_dimensions(pre, registry, config);
-  config.weighted_budget_split = true;
+  constexpr std::size_t kBudget = 16384;
+  config.join_memory_budget_bytes = kBudget;
   const auto weighted = mine_all_dimensions(pre, registry, config);
+  ASSERT_EQ(weighted.size(), unbounded.size());
 
-  ASSERT_EQ(even.size(), weighted.size());
+  // An even split would give every dimension a quarter of the budget.
+  // Its pass count per dimension is the planner's range count at that
+  // slice (a join with no keys still runs one pass); mining a dimension
+  // alone under that slice gives the even split's ashes.
+  SmashConfig even_config = config;
+  even_config.num_threads = 1;
+  even_config.join_memory_budget_bytes = kBudget / weighted.size();
   std::size_t even_passes = 0, weighted_passes = 0;
-  for (std::size_t d = 0; d < even.size(); ++d) {
-    expect_same_ashes(unbounded[d], even[d]);
+  for (std::size_t d = 0; d < weighted.size(); ++d) {
+    const auto dimension = static_cast<Dimension>(d);
+    const auto input = build_dimension_join_input(
+        dimension, pre, registry, even_config, canonical_mining_order(pre), 1);
+    const std::size_t passes = std::max<std::size_t>(
+        graph::plan_key_shards(input.key_sets,
+                               even_config.join_memory_budget_bytes)
+            .ranges.size(),
+        1);
+    const auto even = mine_dimension(dimension, pre, registry, even_config);
+    EXPECT_EQ(even.join_stats.shard_passes, passes);
+    expect_same_ashes(unbounded[d], even);
     expect_same_ashes(unbounded[d], weighted[d]);
-    even_passes += even[d].join_stats.shard_passes;
+    even_passes += passes;
     weighted_passes += weighted[d].join_stats.shard_passes;
   }
   // The even split starves the dominant client join into extra passes;
   // the weighted split provably avoids them without changing output.
-  EXPECT_GT(even_passes, even.size());
+  EXPECT_GT(even_passes, weighted.size());
   EXPECT_LT(weighted_passes, even_passes);
 }
 
@@ -276,9 +291,9 @@ TEST(ParallelMining, WeightedSplitIdenticalAcrossThreadCounts) {
 }
 
 // LouvainStats ride SmashResult like JoinStats: per-dimension counters are
-// populated, the aggregate accessor sums them, and the chunked-parallel
-// path (engaged by the threaded client dimension) reports its chunks while
-// leaving the mined output untouched.
+// populated, the aggregate accessor sums them, and a threaded run (whose
+// client join probes across the leftover threads) reports the same
+// Louvain work and mines the same campaigns.
 TEST(ParallelMining, LouvainStatsSurfacedThroughResult) {
   const net::Trace trace = structured_trace();
   const whois::Registry registry;
@@ -290,22 +305,33 @@ TEST(ParallelMining, LouvainStatsSurfacedThroughResult) {
   const auto serial_stats = serial.louvain_stats();
   EXPECT_GT(serial_stats.sweeps, 0u);
   EXPECT_GT(serial_stats.evaluated_nodes, 0u);
-  EXPECT_EQ(serial_stats.chunks, 0u);  // every dimension ran serial sweeps
 
   // 8 threads across 4 dimensions: the client dimension keeps the 5
-  // leftover threads, so its Louvain runs the chunked-parallel path.
+  // leftover threads for its probe-sharded join.
   config.num_threads = 8;
+  const auto pre = preprocess(trace, config);
+  const auto dim_configs =
+      per_dimension_mining_configs(pre, registry, config, kNumDimensions);
+  const auto client = static_cast<int>(Dimension::kClient);
+  EXPECT_EQ(dimension_join_threads(Dimension::kClient, dim_configs[client]),
+            5u);
+
   const auto threaded = SmashPipeline(config).run(trace, registry);
   const auto threaded_stats = threaded.louvain_stats();
-  // The trajectory is shared; only the execution shape may differ.
   EXPECT_EQ(serial_stats.sweeps, threaded_stats.sweeps);
   EXPECT_EQ(serial_stats.moves, threaded_stats.moves);
   EXPECT_EQ(serial_stats.evaluated_nodes, threaded_stats.evaluated_nodes);
-  EXPECT_GT(threaded_stats.chunks, 0u);  // the client dimension ran chunked
 
-  std::size_t summed = 0;
-  for (const auto& dim : threaded.dims) summed += dim.louvain_stats.sweeps;
-  EXPECT_EQ(summed, threaded_stats.sweeps);
+  for (const auto* result : {&serial, &threaded}) {
+    graph::LouvainStats summed;
+    for (const auto& dim : result->dims) summed += dim.louvain_stats;
+    EXPECT_EQ(summed, result->louvain_stats());
+  }
+
+  ASSERT_EQ(serial.campaigns.size(), threaded.campaigns.size());
+  for (std::size_t c = 0; c < serial.campaigns.size(); ++c) {
+    EXPECT_EQ(serial.campaigns[c].servers, threaded.campaigns[c].servers);
+  }
 }
 
 TEST(ParallelMining, FullPipelineMatchesSerial) {

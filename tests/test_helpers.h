@@ -1,8 +1,8 @@
 // Shared helpers for building tiny hand-crafted traces and seeded random
 // inputs in unit tests. The random generators back the differential test
-// harnesses (tests/louvain_parallel_test.cc, tests/fuzz_equivalence_test.cc
-// — conventions in docs/TESTING.md): deterministic from the seed via
-// util::Rng, so a failing seed printed by a test reproduces exactly.
+// harness (tests/fuzz_equivalence_test.cc — conventions in
+// docs/TESTING.md): deterministic from the seed via util::Rng, so a
+// failing seed printed by a test reproduces exactly.
 #pragma once
 
 #include <cstdint>
@@ -38,27 +38,6 @@ inline void resolve(net::Trace& trace, std::string_view host, std::string_view i
 }
 
 // --- seeded random inputs for the differential harnesses --------------------
-
-// Uniform random weighted graph: `edges` edge samples over `n` nodes
-// (duplicates sum their weights, GraphBuilder semantics), weights in
-// (0, 1]. Self-loops are kept when sampled unless disabled — Louvain's
-// aggregation produces them, so the detector must handle them.
-inline graph::Graph random_weighted_graph(std::uint32_t n, std::uint32_t edges,
-                                          std::uint64_t seed,
-                                          bool allow_self_loops = true) {
-  util::Rng rng(seed);
-  graph::GraphBuilder builder(n);
-  if (n == 0) return std::move(builder).build();
-  for (std::uint32_t e = 0; e < edges; ++e) {
-    const auto u = static_cast<std::uint32_t>(rng.uniform(n));
-    const auto v = static_cast<std::uint32_t>(rng.uniform(n));
-    if (u == v && !allow_self_loops) continue;
-    const double weight =
-        (1.0 + static_cast<double>(rng.uniform(1000))) / 1000.0;
-    builder.add_edge(u, v, weight);
-  }
-  return std::move(builder).build();
-}
 
 // Planted communities with random bridges — the shape SMASH's similarity
 // graphs take (campaign cliques, weak benign bridges), and the shape that
