@@ -420,22 +420,31 @@ TEST(StreamEngine, MultiEpochGapsAreAccountedInSequences) {
   EXPECT_EQ(records[1].epochs_closed, 1u);
 }
 
-TEST(AsyncStreamMining, MiningFailureSurfacesOnWriterThreadAndEngineRecovers) {
-  // An exception escaping the mining thread must not wedge the engine
-  // (stuck mine_in_flight_ would deadlock finish()/~StreamEngine) or vanish
-  // silently: wait_for_mining() rethrows it on the writer thread and later
-  // closes mine again, with every close still accounted.
+// Parameter: StreamConfig::async_mining.
+class StreamMiningFailure : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StreamMiningFailure, SurfacesOnWriterThreadAndEngineRecovers) {
+  // An exception escaping a mine must not wedge the engine (stuck
+  // mine_in_flight_ would deadlock finish()/~StreamEngine) or vanish
+  // silently: it surfaces on the writer thread — from the closing ingest()
+  // in sync mode, from wait_for_mining() in async mode — and later closes
+  // mine again, with every close still accounted.
+  const bool async = GetParam();
   const whois::Registry registry;
   StreamConfig config = small_config(/*epoch_s=*/100, /*window=*/4);
-  config.async_mining = true;
+  config.async_mining = async;
   std::atomic<int> mines{0};
   config.mine_test_hook = [&mines] {
     if (mines.fetch_add(1) == 0) throw std::runtime_error("injected fault");
   };
   StreamEngine engine(config, registry);
   engine.ingest(req(10, "c1", "a.com"));
-  engine.ingest(req(110, "c1", "a.com"));  // closes epoch 0: the failing mine
-  EXPECT_THROW(engine.wait_for_mining(), std::runtime_error);
+  if (async) {
+    engine.ingest(req(110, "c1", "a.com"));  // closes epoch 0: the failing mine
+    EXPECT_THROW(engine.wait_for_mining(), std::runtime_error);
+  } else {
+    EXPECT_THROW(engine.ingest(req(110, "c1", "a.com")), std::runtime_error);
+  }
   EXPECT_EQ(engine.snapshots_published(), 0u);
 
   engine.ingest(req(210, "c1", "a.com"));  // closes epoch 1: mines again
@@ -451,6 +460,11 @@ TEST(AsyncStreamMining, MiningFailureSurfacesOnWriterThreadAndEngineRecovers) {
   }
   EXPECT_EQ(accounted, engine.epochs_closed_total());
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, StreamMiningFailure, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "async" : "sync";
+                         });
 
 TEST(StreamSnapshot, TornPublishLeavesPreviousSnapshotReadable) {
   // An exception escaping DetectionSnapshot::build mid-assembly must leave
