@@ -1,8 +1,8 @@
 // Streaming perf baseline: a day-long timestamped scenario driven through
-// the StreamEngine twice — synchronous mining (the re-mine runs on the
-// ingest thread at epoch close) and asynchronous mining (the close hands
-// the window to the mining thread and ingest returns immediately; bursts
-// coalesce to the newest window). Measures end-to-end
+// the StreamEngine twice — synchronous mining (ingest waits at each epoch
+// close until the mining thread has published) and asynchronous mining
+// (ingest returns immediately; bursts coalesce to the newest window).
+// Measures end-to-end
 // epoch-close-to-snapshot-publish latency (merge / mine / snapshot
 // breakdown), the max per-event ingest stall in each mode (the async
 // acceptance bar: ingest must never block on mining), detection latency

@@ -59,7 +59,7 @@ void StreamEngine::bind_metrics() {
   metrics_.close_to_publish_ms = &r.latency_histogram_ms(
       "stream.close_to_publish_ms", "epoch close to snapshot visible");
   metrics_.assemble_ms = &r.latency_histogram_ms(
-      "stream.assemble_ms", "window assembly (preshard merge or trace concat)");
+      "stream.assemble_ms", "window assembly (preshard merge)");
   metrics_.mine_ms =
       &r.latency_histogram_ms("stream.mine_ms", "SmashPipeline window re-mine");
   metrics_.snapshot_build_ms = &r.latency_histogram_ms(
@@ -99,9 +99,6 @@ StreamEngine::StreamEngine(StreamConfig config, const whois::Registry& registry)
         config_.durability_dir, fsync_policy_of(config_));
     journal_->set_metrics(metrics_registry_.get());
   }
-  if (config_.async_mining) {
-    miner_ = std::make_unique<util::ThreadPool>(1);
-  }
 }
 
 StreamEngine::StreamEngine(RecoveredTag, StreamConfig config,
@@ -114,9 +111,6 @@ StreamEngine::StreamEngine(RecoveredTag, StreamConfig config,
       recovery_stats_(recovery_stats), closes_total_(closes_total) {
   bind_metrics();
   if (journal_) journal_->set_metrics(metrics_registry_.get());
-  if (config_.async_mining) {
-    miner_ = std::make_unique<util::ThreadPool>(1);
-  }
 }
 
 StreamEngine::~StreamEngine() {
@@ -124,10 +118,10 @@ StreamEngine::~StreamEngine() {
   try {
     wait_for_mining();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "StreamEngine: async mine failed at teardown: %s\n",
+    std::fprintf(stderr, "StreamEngine: mine failed at teardown: %s\n",
                  e.what());
   } catch (...) {
-    std::fprintf(stderr, "StreamEngine: async mine failed at teardown\n");
+    std::fprintf(stderr, "StreamEngine: mine failed at teardown\n");
   }
   // Final metrics line, then detach the snapshot-age provider before the
   // members it reads die (the registry may be shared and outlive us).
@@ -182,7 +176,6 @@ void StreamEngine::finish() {
 }
 
 void StreamEngine::wait_for_mining() {
-  if (!miner_) return;
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mine_mutex_);
@@ -198,11 +191,8 @@ void StreamEngine::on_epochs_closed(std::uint32_t closed) {
   closes_total_ += closed;
   maybe_checkpoint(closed);
   if (ingestor_.window().empty()) return;
-  if (config_.async_mining) {
-    submit_or_coalesce();
-  } else {
-    republish_sync();
-  }
+  submit_or_coalesce();
+  if (!config_.async_mining) wait_for_mining();
 }
 
 void StreamEngine::maybe_checkpoint(std::uint32_t closed) {
@@ -242,13 +232,6 @@ durability::CheckpointState StreamEngine::build_checkpoint() const {
   return state;
 }
 
-void StreamEngine::republish_sync() {
-  mine_and_publish(
-      {ingestor_.window().begin(), ingestor_.window().end()},
-      &ingestor_.aggregates(), ingestor_.stats(), closes_total_,
-      std::chrono::steady_clock::now());
-}
-
 void StreamEngine::submit_or_coalesce() {
   MiningJob job;
   job.shards.assign(ingestor_.window().begin(), ingestor_.window().end());
@@ -273,15 +256,14 @@ void StreamEngine::submit_or_coalesce() {
     mine_in_flight_ = true;
     if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(1.0);
   }
-  miner_->submit(
+  miner_.submit(
       [this, job = std::move(job)]() mutable { mining_loop(std::move(job)); });
 }
 
 void StreamEngine::mining_loop(MiningJob job) {
   for (;;) {
     try {
-      mine_and_publish(job.shards, /*live_aggregates=*/nullptr,
-                       job.ingest_stats, job.closes_upto, job.closed_at);
+      mine_and_publish(job);
     } catch (...) {
       // A wedged engine would deadlock finish()/~StreamEngine; park the
       // error for the writer thread (wait_for_mining rethrows) and leave
@@ -308,72 +290,41 @@ void StreamEngine::mining_loop(MiningJob job) {
   }
 }
 
-void StreamEngine::mine_and_publish(
-    const std::vector<std::shared_ptr<const EpochShard>>& shards,
-    const WindowAggregates* live_aggregates, const IngestStats& ingest_stats,
-    std::uint64_t closes_upto,
-    std::chrono::steady_clock::time_point closed_at) {
+void StreamEngine::mine_and_publish(const MiningJob& job) {
+  const auto& shards = job.shards;
   EpochCloseRecord record;
   record.last_epoch = shards.back()->id();
   record.window_epochs = static_cast<std::uint32_t>(shards.size());
-  // Time from epoch close to mine start: ~0 in sync mode, queue/coalesce
-  // wait in async mode.
+  // Time from epoch close to mine start: the hand-off to the mining
+  // thread, plus any wait behind an in-flight mine.
   if (metrics_.mine_queue_wait_ms != nullptr) {
-    metrics_.mine_queue_wait_ms->observe(ms_since(closed_at));
+    metrics_.mine_queue_wait_ms->observe(ms_since(job.closed_at));
   }
 
-  // The sync path reads the ingestor's live incremental aggregates; the
-  // async path rebuilds identical per-2LD stats from the captured immutable
-  // shards, so the mining thread never touches mutable ingest state.
-  WindowAggregates rebuilt;
-  if (live_aggregates == nullptr) {
-    for (const auto& shard : shards) rebuilt.add_epoch(*shard);
-    live_aggregates = &rebuilt;
-  }
+  // Per-2LD stats rebuilt from the captured immutable shards, so the
+  // mining thread never touches mutable ingest state.
+  WindowAggregates aggregates;
+  for (const auto& shard : shards) aggregates.add_epoch(*shard);
 
   const auto prepare_start = std::chrono::steady_clock::now();
-  core::SmashResult result;
-  util::Interner merged_ips;
-  net::Trace window_trace;
-  const util::Interner* ip_names = nullptr;
-  std::size_t window_requests = 0;
-  if (config_.reuse_shard_preprocess) {
-    obs::Span assemble_span("stream.assemble", "preshard-merge");
-    std::vector<core::ShardPreRef> refs;
-    refs.reserve(shards.size());
-    for (const auto& shard : shards) {
-      refs.push_back({&shard->trace(), &shard->pre()});
-    }
-    auto window_pre = core::merge_shard_pres(refs, config_.smash);
-    assemble_span.finish();
-    record.assemble_ms = ms_since(prepare_start);
-    window_requests = window_pre.pre.total_requests;
-
-    const auto mine_start = std::chrono::steady_clock::now();
-    {
-      SMASH_SPAN("stream.mine");
-      result = pipeline_.run_preprocessed(std::move(window_pre.pre), registry_);
-    }
-    record.mine_ms = ms_since(mine_start);
-    merged_ips = std::move(window_pre.ips);
-    ip_names = &merged_ips;
-  } else {
-    obs::Span assemble_span("stream.assemble", "trace-concat");
-    for (const auto& shard : shards) window_trace.merge_from(shard->trace());
-    window_trace.finalize();
-    assemble_span.finish();
-    record.assemble_ms = ms_since(prepare_start);
-    ip_names = &window_trace.ips();
-    window_requests = window_trace.num_requests();
-
-    const auto mine_start = std::chrono::steady_clock::now();
-    {
-      SMASH_SPAN("stream.mine");
-      result = pipeline_.run(window_trace, registry_);
-    }
-    record.mine_ms = ms_since(mine_start);
+  obs::Span assemble_span("stream.assemble");
+  std::vector<core::ShardPreRef> refs;
+  refs.reserve(shards.size());
+  for (const auto& shard : shards) {
+    refs.push_back({&shard->trace(), &shard->pre()});
   }
-  record.window_requests = window_requests;
+  auto window_pre = core::merge_shard_pres(refs, config_.smash);
+  assemble_span.finish();
+  record.assemble_ms = ms_since(prepare_start);
+  record.window_requests = window_pre.pre.total_requests;
+
+  const auto mine_start = std::chrono::steady_clock::now();
+  core::SmashResult result;
+  {
+    SMASH_SPAN("stream.mine");
+    result = pipeline_.run_preprocessed(std::move(window_pre.pre), registry_);
+  }
+  record.mine_ms = ms_since(mine_start);
 
   if (config_.mine_throttle_ms > 0) {
     std::this_thread::sleep_for(
@@ -384,9 +335,9 @@ void StreamEngine::mine_and_publish(
   const auto snapshot_start = std::chrono::steady_clock::now();
   obs::Span publish_span("stream.publish");
   auto snapshot = DetectionSnapshot::build(
-      result, *ip_names, window_requests, *live_aggregates, ingest_stats,
-      shards.front()->id(), shards.back()->id(), closes_upto, recovery_stats_,
-      config_.snapshot_test_hook);
+      result, window_pre.ips, record.window_requests, aggregates,
+      job.ingest_stats, shards.front()->id(), shards.back()->id(),
+      job.closes_upto, recovery_stats_, config_.snapshot_test_hook);
   record.kept_servers = snapshot->kept_servers();
   record.campaigns = snapshot->campaigns().size();
   record.malicious_servers = snapshot->num_malicious_servers();
@@ -394,7 +345,7 @@ void StreamEngine::mine_and_publish(
   slot_.publish(std::move(snapshot));
   publish_span.finish();
   record.snapshot_ms = ms_since(snapshot_start);
-  record.total_ms = ms_since(closed_at);
+  record.total_ms = ms_since(job.closed_at);
   last_publish_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -410,8 +361,8 @@ void StreamEngine::mine_and_publish(
 
   {
     const std::lock_guard<std::mutex> lock(records_mutex_);
-    record.epochs_closed = closes_upto - published_closes_;
-    published_closes_ = closes_upto;
+    record.epochs_closed = job.closes_upto - published_closes_;
+    published_closes_ = job.closes_upto;
     close_records_.push_back(record);
   }
   // Advance the counter only after the record is in close_records_, so a
@@ -560,10 +511,11 @@ std::unique_ptr<StreamEngine> StreamEngine::recover(
   }
   // Republish the recovered window so readers see verdicts immediately;
   // subsequent closes then publish exactly as the uninterrupted engine
-  // would have. Runs synchronously here even in async mode — recovery is
-  // not on the ingest hot path.
+  // would have. Drained here even in async mode — recovery is not on the
+  // ingest hot path.
   if (!engine->ingestor_.window().empty()) {
-    engine->republish_sync();
+    engine->submit_or_coalesce();
+    engine->wait_for_mining();
   }
   return engine;
 }

@@ -8,25 +8,23 @@
 //          -> VerdictService (stream/verdict.h) answers without blocking
 //
 // Threading model: one writer thread calls ingest()/finish(); any number of
-// reader threads call snapshot()/VerdictService::lookup concurrently.
+// reader threads call snapshot()/VerdictService::lookup concurrently; one
+// dedicated mining thread mines and publishes.
 //
-// Mining runs in one of two modes (StreamConfig::async_mining):
+// Every epoch close takes the same path: it captures the window
+// (shared_ptr'd immutable shards + ingest counters) into a MiningJob and
+// hands it to the mining thread. Closes that arrive while a mine is in
+// flight coalesce into one pending "latest window" job — skip-to-newest,
+// the queue never grows past one entry — and snapshots still publish in
+// close order. StreamConfig::async_mining only decides whether the writer
+// waits: when false (default) ingest() drains the mine before it returns,
+// so every close publishes exactly one snapshot and ingest stalls for the
+// mine; when true ingest() returns at once.
 //
-//  - Synchronous (default): the re-mine runs on the ingest thread at epoch
-//    close, exactly one snapshot per republish. Ingest stalls for the
-//    duration of the mine.
-//  - Asynchronous: the close captures the window (shared_ptr'd immutable
-//    shards + ingest counters) into a MiningJob and returns to ingest
-//    immediately; a single dedicated mining thread mines and publishes.
-//    Closes that arrive while a mine is in flight coalesce into one
-//    pending "latest window" job — skip-to-newest, the queue never grows
-//    past one entry — and snapshots still publish in close order.
-//
-// Snapshot `sequence()` counts epoch closes, not publications: in both
-// modes a jump of more than one (EpochCloseRecord::epochs_closed > 1)
-// records intermediate windows that were skipped — by a multi-epoch
-// timestamp gap in ingest, or by async coalescing. Nothing is skipped
-// silently.
+// Snapshot `sequence()` counts epoch closes, not publications: a jump of
+// more than one (EpochCloseRecord::epochs_closed > 1) records intermediate
+// windows that were skipped — by a multi-epoch timestamp gap in ingest, or
+// by coalescing. Nothing is skipped silently.
 //
 // The only writer->reader shared state is the SnapshotSlot's atomic
 // shared_ptr — readers never wait on mining and keep their snapshot alive
@@ -95,14 +93,14 @@ struct EpochCloseRecord {
   EpochId last_epoch = 0;        // newest epoch in the published window
   std::uint32_t window_epochs = 0;
   // Epoch closes this publication covers. 1 in steady state; > 1 when
-  // intermediate windows were skipped (multi-epoch ingest gap, or async
+  // intermediate windows were skipped (multi-epoch ingest gap, or
   // coalescing while a mine was in flight).
   std::uint64_t epochs_closed = 1;
   std::size_t window_requests = 0;
   std::size_t kept_servers = 0;
   std::size_t campaigns = 0;
   std::size_t malicious_servers = 0;
-  double assemble_ms = 0.0;  // preprocessed-shard merge (or trace assembly)
+  double assemble_ms = 0.0;  // preprocessed-shard merge
   double mine_ms = 0.0;      // SmashPipeline mining tail
   double snapshot_ms = 0.0;  // DetectionSnapshot::build + publish
   double total_ms = 0.0;     // epoch close -> snapshot visible to readers
@@ -135,8 +133,9 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
 
   // Forwards to the ingestor; when the event closes one or more epochs the
-  // window is re-mined — synchronously before this call returns, or handed
-  // to the mining thread (async mode). Single writer thread only.
+  // window is handed to the mining thread, and (unless async_mining) the
+  // mine is drained before this call returns — a failed mine then throws
+  // here. Single writer thread only.
   void ingest(const RequestEvent& event);
   void ingest(const ResolutionEvent& event);
   void ingest(const RedirectEvent& event);
@@ -147,11 +146,10 @@ class StreamEngine {
   // first event.
   void finish();
 
-  // Blocks until no mine is running or pending (async mode; immediate
-  // no-op in sync mode). The last published snapshot then reflects the
-  // newest closed window. If an async mine failed, rethrows its exception
-  // here on the calling (writer) thread — the engine itself stays usable
-  // and the next epoch close mines again.
+  // Blocks until no mine is running or pending. The last published
+  // snapshot then reflects the newest closed window. If a mine failed,
+  // rethrows its exception here on the calling (writer) thread — the
+  // engine itself stays usable and the next epoch close mines again.
   void wait_for_mining();
 
   // Current snapshot, or nullptr before the first publication. Callable
@@ -190,8 +188,8 @@ class StreamEngine {
     return windows_coalesced_.load(std::memory_order_relaxed);
   }
 
-  // Per-publication records, in publication order. Returns a copy: in
-  // async mode the mining thread appends concurrently.
+  // Per-publication records, in publication order. Returns a copy: the
+  // mining thread appends concurrently.
   std::vector<EpochCloseRecord> close_records() const;
 
   // The current closed window as one trace (what the next publish would
@@ -250,23 +248,17 @@ class StreamEngine {
   void maybe_checkpoint(std::uint32_t closed);
   durability::CheckpointState build_checkpoint() const;
 
-  // Ingest-thread epilogue: accounts `closed` epoch closes and routes the
-  // new window to the sync or async mining path.
+  // Ingest-thread epilogue: accounts `closed` epoch closes, submits the
+  // new window, and drains the mine unless async_mining.
   void on_epochs_closed(std::uint32_t closed);
-  // Sync path: mine and publish on the calling (ingest) thread.
-  void republish_sync();
-  // Async path: capture the window; start the miner or coalesce into the
-  // pending job.
+  // Captures the window; starts the miner or coalesces into the pending
+  // job.
   void submit_or_coalesce();
   // Mining-thread loop: mine `job`, then keep draining pending jobs.
   void mining_loop(MiningJob job);
-  // Shared mine+publish tail. `live_aggregates` is the ingestor's map (sync
-  // path only); the async path rebuilds identical aggregates from the
-  // captured shards so the mining thread never reads mutable ingest state.
-  void mine_and_publish(
-      const std::vector<std::shared_ptr<const EpochShard>>& shards,
-      const WindowAggregates* live_aggregates, const IngestStats& ingest_stats,
-      std::uint64_t closes_upto, std::chrono::steady_clock::time_point closed_at);
+  // Mining-thread body: merge the job's cached shard preprocessing, mine,
+  // build and publish the snapshot, append the close record.
+  void mine_and_publish(const MiningJob& job);
 
   StreamConfig config_;
   const whois::Registry& registry_;
@@ -301,15 +293,15 @@ class StreamEngine {
   std::condition_variable mine_cv_;
   bool mine_in_flight_ = false;          // guarded by mine_mutex_
   std::optional<MiningJob> pending_;     // guarded by mine_mutex_
-  // Exception that escaped an async mine, rethrown by wait_for_mining() on
-  // the writer thread. Guarded by mine_mutex_.
+  // Exception that escaped a mine, rethrown by wait_for_mining() on the
+  // writer thread. Guarded by mine_mutex_.
   std::exception_ptr mine_error_;
   // Periodic JSONL metrics writer (null unless metrics_dir is set). Holds
   // a shared_ptr to the registry, so member order is not load-bearing.
   std::unique_ptr<obs::MetricsLogger> metrics_logger_;
   // Single-thread pool running mining_loop; last member so it is destroyed
   // (joined) before any state the loop touches.
-  std::unique_ptr<util::ThreadPool> miner_;
+  util::ThreadPool miner_{1};
 };
 
 }  // namespace smash::stream

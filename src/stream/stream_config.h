@@ -67,22 +67,16 @@ struct StreamConfig {
   // into the open epoch so no traffic is lost at the cost of epoch purity.
   bool drop_late_events = true;
 
-  // Asynchronous mining: epoch closes hand the window to a dedicated
-  // mining thread and ingest returns immediately; closes that arrive while
-  // a mine is in flight coalesce into one "latest window" re-mine
-  // (skip-to-newest — the queue never grows past one pending job), and
-  // snapshots publish in close order with `DetectionSnapshot::sequence()`
-  // accounting for every skipped intermediate window. When false (default)
-  // the re-mine runs synchronously on the ingest thread, one snapshot per
-  // republish, as the batch-equivalence tests drive it.
+  // Every epoch close hands the window to a dedicated mining thread;
+  // closes that arrive while a mine is in flight coalesce into one "latest
+  // window" re-mine (skip-to-newest — the queue never grows past one
+  // pending job), and snapshots publish in close order with
+  // `DetectionSnapshot::sequence()` accounting for every skipped
+  // intermediate window. This option only decides whether ingest waits:
+  // when false (default) each closing ingest() drains the mine before it
+  // returns, one snapshot per close, as the batch-equivalence tests drive
+  // it; when true ingest() returns immediately.
   bool async_mining = false;
-
-  // Reuse each epoch shard's preprocessed form (cached at seal time,
-  // core/preshard.h): every re-mine merges the cached shards instead of
-  // re-preprocessing the assembled window, so sliding the window costs
-  // O(new epoch) per-request work. Output is byte-identical either way;
-  // disable only to cross-check against the assemble-and-preprocess path.
-  bool reuse_shard_preprocess = true;
 
   // Test/bench hook: artificial delay (unit: milliseconds; default 0 =
   // none) per mine, before snapshot build, used to force epoch closes to
@@ -148,8 +142,8 @@ struct StreamConfig {
 
   // Pipeline tunables for each window re-mine. smash.num_threads sizes
   // the mining fan-out AND the parallel shard-preprocess merge
-  // (core::merge_shard_pres); with async_mining those threads run inside
-  // the dedicated mining thread, on top of the ingest thread.
+  // (core::merge_shard_pres); those threads fan out from the dedicated
+  // mining thread, on top of the ingest thread.
   // smash.join_memory_budget_bytes bounds each re-mine's resident
   // postings memory the same way it does a batch run (docs/MEMORY.md) —
   // the sliding window already bounds input size, so streaming rarely

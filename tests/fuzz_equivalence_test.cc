@@ -7,7 +7,9 @@
 //    pure wall-clock/memory trade;
 //  - random event schedules (late events, multi-epoch gaps) through sync
 //    vs async StreamEngines must publish byte-identical final snapshots
-//    with every epoch close accounted.
+//    with every epoch close accounted;
+//  - randomized scenario-library streams: every publication of the engine
+//    must be byte-identical to a batch mine of its assembled window.
 //
 // Runs fuzz_seeds() seeds (default 20): SMASH_FUZZ_ITERS scales the seed
 // count (the nightly long-fuzz job uses 500), SMASH_FUZZ_SEED pins a
@@ -314,11 +316,11 @@ TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
 // random schedule never produces: shared cloud pools tying campaigns to
 // benign tenants, flash crowds, DGA bursts, diurnal load, jittered
 // long-cadence polling. Randomizing the builder's specs per seed and
-// running the stream through the default engine (cached per-epoch
-// preprocessing, core/preshard.h) and one that re-preprocesses the
-// assembled window (reuse_shard_preprocess = false) extends the
-// byte-identical-snapshot contract to those shapes. Picked up by the
-// nightly 500-seed sweep via the *Fuzz* filter.
+// checking every publication of the engine (cached per-epoch
+// preprocessing, core/preshard.h) against a batch oracle — SmashPipeline::run
+// over the assembled window — extends the byte-identical-snapshot
+// contract to those shapes. Picked up by the nightly 500-seed sweep via
+// the *Fuzz* filter.
 
 synth::Scenario random_matrix_scenario(std::uint64_t seed) {
   util::Rng rng(seed ^ 0x5ce7a210ULL);
@@ -384,39 +386,46 @@ stream::StreamConfig scenario_stream_config(std::uint64_t seed) {
   return config;
 }
 
+// The batch oracle of a sync engine's current publication: the assembled
+// window re-preprocessed and mined by SmashPipeline::run, wrapped with the
+// engine's own aggregates, ingest counters, window bounds and close count.
+std::shared_ptr<const stream::DetectionSnapshot> batch_oracle(
+    const stream::StreamEngine& engine, const whois::Registry& registry) {
+  const auto window = engine.assemble_window();
+  const auto result = core::SmashPipeline(engine.config().smash).run(window, registry);
+  const auto& shards = engine.ingestor().window();
+  return stream::DetectionSnapshot::build(
+      result, window.ips(), window.num_requests(), engine.ingestor().aggregates(),
+      engine.ingestor().stats(), shards.front()->id(), shards.back()->id(),
+      engine.epochs_closed_total());
+}
+
 TEST(FuzzScenarioStream, RandomScenarioConfigsPreshardMatchesAssembled) {
   std::size_t snapshots_with_verdicts = 0;
   for (const auto seed : fuzz_seeds(8)) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " (rerun with SMASH_FUZZ_SEED=" + std::to_string(seed) + ")");
     const auto scenario = random_matrix_scenario(seed);
-    const auto preshard_config = scenario_stream_config(seed);
-    auto assembled_config = preshard_config;
-    assembled_config.reuse_shard_preprocess = false;
-
-    stream::StreamEngine preshard(preshard_config, scenario.whois);
-    stream::StreamEngine assembled(assembled_config, scenario.whois);
+    stream::StreamEngine engine(scenario_stream_config(seed), scenario.whois);
     std::uint64_t seen = 0;
     const auto compare_published = [&] {
-      ASSERT_EQ(preshard.snapshots_published(), assembled.snapshots_published());
-      if (preshard.snapshots_published() == seen) return;
-      seen = preshard.snapshots_published();
-      const auto a = preshard.snapshot();
-      const auto b = assembled.snapshot();
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      expect_identical_snapshots(*a, *b);
-      if (a->num_malicious_servers() > 0) ++snapshots_with_verdicts;
+      if (engine.snapshots_published() == seen) return;
+      seen = engine.snapshots_published();
+      const auto published = engine.snapshot();
+      ASSERT_NE(published, nullptr);
+      expect_identical_snapshots(*published, *batch_oracle(engine, scenario.whois));
+      if (published->num_malicious_servers() > 0) ++snapshots_with_verdicts;
     };
     for (const auto& event : scenario.events) {
-      synth::ingest_event(preshard, event);
-      synth::ingest_event(assembled, event);
+      synth::ingest_event(engine, event);
       compare_published();
       if (::testing::Test::HasFatalFailure()) return;
     }
-    preshard.finish();
-    assembled.finish();
+    engine.finish();
     compare_published();
+    // Sync mode publishes once per close (no coalescing), so every
+    // publication was compared.
+    EXPECT_EQ(engine.windows_coalesced(), 0u);
   }
   // The randomized scenarios must produce real verdicts for the identity
   // gate to bite (over the full sweep; a pinned seed may be benign-only).

@@ -243,6 +243,43 @@ TEST(StreamEngine, PublishesSnapshotsAndServesVerdicts) {
   EXPECT_EQ(accounted, engine.epochs_closed_total());
 }
 
+TEST(StreamEngine, VerdictWindowStatsMatchLiveAggregates) {
+  // The mining thread rebuilds the per-2LD window stats from the captured
+  // shards; every published verdict must carry exactly the ingestor's
+  // incrementally maintained stats for its window, slid windows included.
+  const auto scenario = synth::generate_stream(tiny_scenario_config());
+  StreamConfig config = tiny_stream_config();
+  config.window_epochs = 3;
+  StreamEngine engine(config, scenario.whois);
+  std::uint64_t seen = 0;
+  std::size_t checked = 0;
+  const auto check_published = [&] {
+    if (engine.snapshots_published() == seen) return;
+    seen = engine.snapshots_published();
+    const auto snapshot = engine.snapshot();
+    ASSERT_NE(snapshot, nullptr);
+    for (const auto& campaign : snapshot->campaigns()) {
+      for (const auto& server : campaign.servers) {
+        const auto* verdict = snapshot->find_host(server);
+        const auto* live = engine.ingestor().aggregates().find(server);
+        ASSERT_NE(verdict, nullptr);
+        ASSERT_NE(live, nullptr);
+        EXPECT_EQ(verdict->window_requests, live->requests) << server;
+        EXPECT_EQ(verdict->active_epochs, live->active_epochs) << server;
+        ++checked;
+      }
+    }
+  };
+  for (const auto& event : scenario.events) {
+    synth::ingest_event(engine, event);
+    check_published();
+  }
+  engine.finish();
+  check_published();
+  EXPECT_GT(engine.ingestor().window().size(), 1u);
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(StreamEngine, SnapshotSwapIsSafeUnderConcurrentReaders) {
   // Readers hammer the slot while the writer publishes snapshot after
   // snapshot; ASan/UBSan (CI) would flag a stale read or torn swap.
