@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <numbers>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,11 +44,13 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-RequestEvent request(std::uint64_t time_s, int client, int host) {
+RequestEvent request(std::uint64_t time_s, std::uint64_t client, std::uint64_t host) {
+  static const char* const kClients[] = {"c0", "c1", "c2"};
+  static const char* const kHosts[] = {"h0.com", "h1.com", "h2.com", "h3.com", "h4.com"};
   RequestEvent e;
   e.time_s = time_s;
-  e.client = "c" + std::to_string(client);
-  e.host = "h" + std::to_string(host) + ".com";
+  e.client = kClients[client % 3];
+  e.host = kHosts[host % 5];
   e.path = "/x.html";
   e.user_agent = "UA";
   return e;
@@ -90,8 +91,7 @@ TEST(StreamOscillatingLoad, CoalescingBoundsFreshnessAcrossCycle) {
     epoch_start.push_back(Clock::now());
     epoch_stage.push_back(stage);
     for (std::uint32_t k = 0; k < kEventsPerEpoch; ++k) {
-      engine.ingest(request(epoch * kEpochSeconds + k, static_cast<int>(k % 3),
-                            static_cast<int>((epoch + k) % 5)));
+      engine.ingest(request(epoch * kEpochSeconds + k, k, epoch + k));
     }
     at_ms += 1000.0 / offered_rate(stage);
   }
