@@ -268,6 +268,7 @@ DimensionJoinInput build_dimension_join_input(
       // *is* the number of shared fields. Proxy values are skipped up
       // front.
       util::Interner values;
+      std::string key;  // "<field>\x1f<value>", reused across fields
       input.key_sets.resize(n);
       for (std::size_t c = 0; c < n; ++c) {
         const whois::Record* rec = registry.find(input.canon_names[c]);
@@ -275,11 +276,13 @@ DimensionJoinInput build_dimension_join_input(
         auto& fields = input.key_sets[c];
         fields.reserve(whois::kNumFields);
         for (int f = 0; f < whois::kNumFields; ++f) {
-          const auto& value = rec->value(static_cast<whois::Field>(f));
+          const auto field = static_cast<whois::Field>(f);
+          const auto& value = rec->value(field);
           if (value.empty() || registry.is_proxy_value(value)) continue;
-          fields.insert(values.intern(
-              std::string(whois::field_name(static_cast<whois::Field>(f))) +
-              "\x1f" + value));
+          key.assign(whois::field_name(field));
+          key += '\x1f';
+          key += value;
+          fields.insert(values.intern(key));
         }
         fields.normalize();
       }

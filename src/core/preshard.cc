@@ -19,50 +19,39 @@ ShardPre build_shard_pre(const net::Trace& shard) {
 
   // 2LD each raw server exactly once; delta slots in raw-server-id order,
   // mirroring AggregatedTrace::build's aggregation order.
-  std::unordered_map<std::string, std::uint32_t> delta_id;
+  util::Interner delta_ids;
   for (std::uint32_t s = 0; s < num_servers; ++s) {
     std::string two_ld = dns::effective_2ld(shard.servers().name(s));
-    const auto [it, inserted] =
-        delta_id.emplace(two_ld, static_cast<std::uint32_t>(out.deltas.size()));
-    if (inserted) {
-      out.delta_2lds.push_back(two_ld);
-      out.deltas.emplace_back();
-    }
-    out.delta_of_server.push_back(it->second);
+    out.delta_of_server.push_back(delta_ids.intern(two_ld));
     out.server_2lds.push_back(std::move(two_ld));
   }
+  out.delta_2lds = delta_ids.names();
+  out.deltas.resize(out.delta_2lds.size());
 
   // One pass over the shard's requests: all per-request string parsing
   // (URI file, parameter pattern, referrer 2LD) happens here, once per
   // epoch, never again on window slides.
-  std::unordered_map<std::string, std::uint32_t> file_id;
-  std::unordered_map<std::string, std::uint32_t> referrer_id;
+  util::Interner files;
+  util::Interner referrers;
   for (const auto& req : shard.requests()) {
     ShardServerDelta& delta = out.deltas[out.delta_of_server[req.server]];
     delta.clients.insert(req.client);
     delta.days.insert(req.day);
-
-    std::string file(net::uri_file(req.path));
-    const auto [fit, file_new] = file_id.emplace(
-        file, static_cast<std::uint32_t>(out.file_names.size()));
-    if (file_new) out.file_names.push_back(std::move(file));
-    delta.files.insert(fit->second);
+    delta.files.insert(files.intern(net::uri_file(req.path)));
 
     delta.user_agents.insert(req.user_agent);
     std::string pattern = net::param_pattern(req.path);
     if (!pattern.empty()) delta.param_patterns.insert(std::move(pattern));
 
     if (!req.referrer.empty()) {
-      std::string ref_2ld = dns::effective_2ld(req.referrer);
-      const auto [rit, ref_new] = referrer_id.emplace(
-          ref_2ld, static_cast<std::uint32_t>(out.referrer_2lds.size()));
-      if (ref_new) out.referrer_2lds.push_back(std::move(ref_2ld));
-      ++delta.referrer_counts[rit->second];
+      ++delta.referrer_counts[referrers.intern(dns::effective_2ld(req.referrer))];
     }
 
     ++delta.requests;
     if (net::is_error_status(req.status)) ++delta.error_requests;
   }
+  out.file_names = files.names();
+  out.referrer_2lds = referrers.names();
 
   for (std::uint32_t s = 0; s < num_servers; ++s) {
     ShardServerDelta& delta = out.deltas[out.delta_of_server[s]];

@@ -111,7 +111,7 @@ void WindowAggregates::remove_epoch(const EpochShard& shard) {
 }
 
 const ServerWindowStats* WindowAggregates::find(std::string_view host_2ld) const {
-  auto it = by_2ld_.find(std::string(host_2ld));
+  auto it = by_2ld_.find(host_2ld);
   return it == by_2ld_.end() ? nullptr : &it->second;
 }
 

@@ -24,6 +24,7 @@
 #include "net/http.h"
 #include "net/trace.h"
 #include "stream/stream_config.h"
+#include "util/strings.h"
 
 namespace smash::stream {
 
@@ -143,7 +144,7 @@ class WindowAggregates {
   std::vector<std::pair<std::string, ServerWindowStats>> sorted_entries() const;
 
  private:
-  std::unordered_map<std::string, ServerWindowStats> by_2ld_;
+  util::StringMap<ServerWindowStats> by_2ld_;
   std::uint64_t window_requests_ = 0;
 };
 

@@ -97,8 +97,7 @@ std::string DetectionSnapshot::digest() const {
     line({"campaign", num(i), num(c.involved_clients),
           num(c.single_client ? 1 : 0), servers});
   }
-  const auto verdicts = [&](const char* tag,
-                            const std::unordered_map<std::string, ServerVerdict>& by) {
+  const auto verdicts = [&](const char* tag, const auto& by) {
     std::vector<std::string> keys;
     keys.reserve(by.size());
     for (const auto& [key, verdict] : by) keys.push_back(key);
@@ -121,7 +120,7 @@ const ServerVerdict* DetectionSnapshot::find_host(std::string_view host) const {
 }
 
 const ServerVerdict* DetectionSnapshot::find_ip(std::string_view ip) const {
-  auto it = by_ip_.find(std::string(ip));
+  auto it = by_ip_.find(ip);
   return it == by_ip_.end() ? nullptr : &it->second;
 }
 

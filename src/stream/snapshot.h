@@ -17,6 +17,7 @@
 #include "core/pipeline.h"
 #include "stream/ingest.h"
 #include "stream/stream_config.h"
+#include "util/strings.h"
 
 namespace smash::stream {
 
@@ -136,7 +137,7 @@ class DetectionSnapshot {
   DetectionSnapshot() = default;
 
   std::unordered_map<std::string, ServerVerdict> by_2ld_;
-  std::unordered_map<std::string, ServerVerdict> by_ip_;
+  util::StringMap<ServerVerdict> by_ip_;
   std::vector<SnapshotCampaign> campaigns_;
   EpochId first_epoch_ = 0;
   EpochId last_epoch_ = 0;

@@ -5,34 +5,42 @@
 // reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace smash::util {
 
+// Each name is stored once, in `strings_` (insertion order = id order).
+// The lookup side is a flat open-addressing table of `id + 1` slots over
+// those names (0 = empty), linear probing, load kept at or below 0.5, so
+// `intern` and `find` hash the string_view they are given and never
+// allocate on a hit.
 class Interner {
  public:
   // Returns the id for `s`, inserting it if new. Ids are assigned densely
   // in insertion order starting at 0.
   std::uint32_t intern(std::string_view s) {
-    auto it = ids_.find(std::string(s));
-    if (it != ids_.end()) return it->second;
+    if (2 * (strings_.size() + 1) > slots_.size()) grow();
+    std::uint32_t& slot = slots_[probe(s)];
+    if (slot != 0) return slot - 1;
     const auto id = static_cast<std::uint32_t>(strings_.size());
     strings_.emplace_back(s);
-    ids_.emplace(strings_.back(), id);
+    slot = id + 1;
     return id;
   }
 
   // Lookup without insertion.
   std::optional<std::uint32_t> find(std::string_view s) const {
-    auto it = ids_.find(std::string(s));
-    if (it == ids_.end()) return std::nullopt;
-    return it->second;
+    if (slots_.empty()) return std::nullopt;
+    const std::uint32_t slot = slots_[probe(s)];
+    if (slot == 0) return std::nullopt;
+    return slot - 1;
   }
 
   const std::string& name(std::uint32_t id) const {
@@ -49,8 +57,34 @@ class Interner {
   const std::vector<std::string>& names() const noexcept { return strings_; }
 
  private:
+  static std::size_t hash(std::string_view s) noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+
+  // Index of the slot holding `s`, or of the empty slot that ends its
+  // probe chain. The table is never full, so the walk terminates.
+  std::size_t probe(std::string_view s) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(s) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots_[i];
+      if (slot == 0 || strings_[slot - 1] == s) return i;
+    }
+  }
+
+  // Doubles the table (power of two, at least 16 slots) and reinserts
+  // every id in id order.
+  void grow() {
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < strings_.size(); ++id) {
+      std::size_t i = hash(strings_[id]) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = id + 1;
+    }
+  }
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<std::uint32_t> slots_;
 };
 
 }  // namespace smash::util

@@ -90,10 +90,15 @@ std::string Histogram::ascii(int width, int label_decimals) const {
     const double left = lo + bin_width * static_cast<double>(i);
     const auto bar_len = static_cast<int>(
         static_cast<double>(counts[i]) / static_cast<double>(max_count) * width);
-    out += "[" + format_fixed(left, label_decimals) + ", " +
-           format_fixed(left + bin_width, label_decimals) + ") ";
+    out += '[';
+    out += format_fixed(left, label_decimals);
+    out += ", ";
+    out += format_fixed(left + bin_width, label_decimals);
+    out += ") ";
     out.append(static_cast<std::size_t>(bar_len), '#');
-    out += " " + std::to_string(counts[i]) + "\n";
+    out += ' ';
+    out += std::to_string(counts[i]);
+    out += '\n';
   }
   if (underflow > 0 || overflow > 0) {
     out += "clamped: " + std::to_string(underflow) + " below " +

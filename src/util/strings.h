@@ -1,8 +1,13 @@
 // Small string helpers shared across modules. All functions are pure.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace smash::util {
@@ -29,5 +34,22 @@ std::string format_fixed(double v, int decimals);
 // Thousands-separated integer rendering, e.g. 28544473 -> "28,544,473",
 // matching the paper's table style.
 std::string with_commas(std::uint64_t v);
+
+// Transparent hash for string-keyed unordered containers: with
+// std::equal_to<> it lets find/count take a std::string_view without
+// building a std::string per probe. Hash values equal std::hash<std::string>'s,
+// so bucket layout and iteration order match a plain string-keyed map.
+// (Not noexcept on purpose: libstdc++ then caches hash codes in the nodes,
+// as it does for std::hash<std::string>.)
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+template <typename V>
+using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+using StringSet = std::unordered_set<std::string, StringHash, std::equal_to<>>;
 
 }  // namespace smash::util

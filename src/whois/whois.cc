@@ -39,7 +39,7 @@ void Registry::add(std::string_view domain, Record record) {
 }
 
 const Record* Registry::find(std::string_view domain) const {
-  auto it = records_.find(std::string(domain));
+  auto it = records_.find(domain);
   return it == records_.end() ? nullptr : &it->second;
 }
 
@@ -48,7 +48,7 @@ void Registry::add_proxy_value(std::string_view value) {
 }
 
 bool Registry::is_proxy_value(std::string_view value) const {
-  return proxy_values_.count(std::string(value)) > 0;
+  return proxy_values_.contains(value);
 }
 
 SimilarityResult Registry::similarity(std::string_view domain_a,

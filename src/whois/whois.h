@@ -13,9 +13,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "util/strings.h"
 
 namespace smash::whois {
 
@@ -69,7 +69,7 @@ class Registry {
 
   std::size_t size() const noexcept { return records_.size(); }
 
-  const std::unordered_map<std::string, Record>& records() const noexcept {
+  const util::StringMap<Record>& records() const noexcept {
     return records_;
   }
 
@@ -81,8 +81,8 @@ class Registry {
   static Registry read_tsv(const std::string& file_path);
 
  private:
-  std::unordered_map<std::string, Record> records_;
-  std::unordered_set<std::string> proxy_values_;
+  util::StringMap<Record> records_;
+  util::StringSet proxy_values_;
 };
 
 // Normalize a name-server list into the canonical joined form.

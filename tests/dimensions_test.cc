@@ -12,6 +12,7 @@ namespace smash::core {
 namespace {
 
 using test::add_request;
+using test::numbered;
 using test::resolve;
 
 SmashConfig small_config() {
@@ -136,7 +137,7 @@ TEST(FileDimension, GroupsObfuscatedLongFilenames) {
 TEST(FileDimension, PopularFileCapSuppressesStopFiles) {
   net::Trace trace;
   for (int s = 0; s < 10; ++s) {
-    add_request(trace, "c" + std::to_string(s), "srv" + std::to_string(s) + ".com",
+    add_request(trace, numbered("c", s), numbered("srv", s) + ".com",
                 "/index.html");
   }
   trace.finalize();

@@ -203,7 +203,9 @@ TEST(FuzzParallelPipeline, RandomTracesThreadsAndBudgetsMatch) {
   }
   // The harness must exercise real detections, not vacuously-empty runs
   // (over the full sweep; a single pinned seed may legitimately be quiet).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(campaigns_found, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(campaigns_found, 0u);
+  }
 }
 
 TEST(FuzzParallelPipeline, ReferenceRunIsDeterministic) {
@@ -261,7 +263,9 @@ TEST(FuzzStreamEquivalence, RandomSchedulesSyncVsAsync) {
   }
   // The schedules must produce real verdicts for the comparison to bite
   // (over the full sweep; a single pinned seed may legitimately be quiet).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(snapshots_with_verdicts, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(snapshots_with_verdicts, 0u);
+  }
 }
 
 TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
@@ -429,7 +433,9 @@ TEST(FuzzScenarioStream, RandomScenarioConfigsPreshardMatchesAssembled) {
   }
   // The randomized scenarios must produce real verdicts for the identity
   // gate to bite (over the full sweep; a pinned seed may be benign-only).
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(snapshots_with_verdicts, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(snapshots_with_verdicts, 0u);
+  }
 }
 
 // --- seeded WAL/checkpoint corruption fuzzer ---------------------------------
@@ -600,7 +606,9 @@ TEST(FuzzDurability, CorruptedWalTruncatesToValidPrefixOrFailsLoudly) {
   // Truncation damage always recovers; over the sweep both outcomes of the
   // bit-flip shape should appear (a pinned seed may only see one).
   EXPECT_GT(recovered_clean, 0u);
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(failed_loudly, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(failed_loudly, 0u);
+  }
 }
 
 TEST(FuzzDurability, CorruptedCheckpointsFallBackOrFailLoudly) {
@@ -661,7 +669,9 @@ TEST(FuzzDurability, CorruptedCheckpointsFallBackOrFailLoudly) {
 
     std::filesystem::remove_all(config.durability_dir);
   }
-  if (!test::fuzz_seed_pinned()) EXPECT_GT(fell_back, 0u);
+  if (!test::fuzz_seed_pinned()) {
+    EXPECT_GT(fell_back, 0u);
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "stream/engine.h"
 #include "stream/verdict.h"
+#include "test_helpers.h"
 #include "whois/whois.h"
 
 namespace smash::obs {
@@ -383,7 +384,7 @@ TEST(EngineMetrics, RegistryReflectsIngestAndPublishes) {
   for (int epoch = 0; epoch < 4; ++epoch) {
     for (int i = 0; i < 5; ++i) {
       engine.ingest(event_at(static_cast<std::uint64_t>(epoch) * 100 + i,
-                             "c" + std::to_string(i), "evil.com"));
+                             test::numbered("c", i), "evil.com"));
     }
   }
   engine.finish();
@@ -434,7 +435,7 @@ TEST(EngineMetrics, SharedRegistryAcrossEngineAndVerdicts) {
   stream::StreamEngine engine(config, whois_db);
   ASSERT_EQ(engine.metrics(), shared);
   for (int i = 0; i < 5; ++i) {
-    engine.ingest(event_at(static_cast<std::uint64_t>(i), "c" + std::to_string(i),
+    engine.ingest(event_at(static_cast<std::uint64_t>(i), test::numbered("c", i),
                            "evil.com"));
   }
   engine.finish();

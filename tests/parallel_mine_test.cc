@@ -16,6 +16,7 @@ namespace smash::core {
 namespace {
 
 using test::add_request;
+using test::numbered;
 using test::resolve;
 
 // A trace with enough structure that every dimension produces herds:
@@ -128,8 +129,7 @@ TEST(ParallelMining, WhoisAndFileJoinShardsMatchSerial) {
     record.registrant = "actor" + std::to_string(campaign);
     record.email = "a" + std::to_string(campaign) + "@mail.test";
     for (int server = 0; server < 4; ++server) {
-      registry.add("c" + std::to_string(campaign) + "s" +
-                       std::to_string(server) + ".com",
+      registry.add(numbered(numbered("c", campaign) + "s", server) + ".com",
                    record);
     }
   }
@@ -210,10 +210,10 @@ net::Trace skewed_trace() {
   // clients out of a pool of 200: client postings ~2400 entries, while the
   // file/ip dimensions hold ~30 entries each.
   for (int server = 0; server < 30; ++server) {
-    const std::string host = "h" + std::to_string(server) + ".com";
+    const std::string host = numbered("h", server) + ".com";
     for (int k = 0; k < 80; ++k) {
       const int client = (server * 2 + k) % 200;
-      add_request(trace, "c" + std::to_string(client), host, "/x.html");
+      add_request(trace, numbered("c", client), host, "/x.html");
     }
     resolve(trace, host, "10.1." + std::to_string(server / 4) + ".9");
   }

@@ -8,6 +8,7 @@ namespace smash::core {
 namespace {
 
 using test::add_request;
+using test::numbered;
 using test::resolve;
 
 TEST(AggregatedTrace, MergesSubdomains) {
@@ -92,7 +93,7 @@ TEST(Preprocess, IdfFilterRemovesPopularServers) {
 TEST(Preprocess, ThresholdBoundaryIsInclusive) {
   net::Trace trace;
   for (int c = 0; c < 3; ++c) {
-    add_request(trace, "c" + std::to_string(c), "edge.com", "/e.html");
+    add_request(trace, numbered("c", c), "edge.com", "/e.html");
   }
   trace.finalize();
   SmashConfig config;

@@ -8,6 +8,7 @@ namespace smash::core {
 namespace {
 
 using test::add_request;
+using test::numbered;
 using test::resolve;
 
 SmashConfig config_with(std::uint32_t idf = 100) {
@@ -132,7 +133,7 @@ TEST(Pruning, LandingFilteredByIdfStaysOut) {
   // Landing is popular (above IDF threshold); embedded widgets collapse to
   // it but it is not re-introduced into the group.
   for (int c = 0; c < 6; ++c) {
-    add_request(trace, "u" + std::to_string(c), "popular.com", "/");
+    add_request(trace, numbered("u", c), "popular.com", "/");
   }
   for (const char* c : {"c1", "c2"}) {
     add_request(trace, c, "w1.net", "/w1.js", "UA", "popular.com");

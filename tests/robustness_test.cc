@@ -12,6 +12,7 @@ namespace smash::core {
 namespace {
 
 using test::add_request;
+using test::numbered;
 
 TEST(Robustness, EmptyTrace) {
   net::Trace trace;
@@ -36,7 +37,7 @@ TEST(Robustness, AllServersPopularYieldsNothing) {
   net::Trace trace;
   for (int s = 0; s < 3; ++s) {
     for (int c = 0; c < 10; ++c) {
-      add_request(trace, "c" + std::to_string(c), "pop" + std::to_string(s) + ".com",
+      add_request(trace, numbered("c", c), numbered("pop", s) + ".com",
                   "/p.html");
     }
   }
@@ -53,7 +54,7 @@ TEST(Robustness, MissingWhoisRegistryIsFine) {
   net::Trace trace;
   for (const char* bot : {"b1", "b2"}) {
     for (int s = 0; s < 10; ++s) {
-      add_request(trace, bot, "m" + std::to_string(s) + ".com", "/gate.php");
+      add_request(trace, bot, numbered("m", s) + ".com", "/gate.php");
     }
   }
   trace.finalize();
@@ -87,7 +88,7 @@ TEST(Robustness, DuplicateRequestsDoNotInflateAnything) {
   net::Trace b;
   for (const char* bot : {"b1", "b2"}) {
     for (int s = 0; s < 8; ++s) {
-      const std::string host = "d" + std::to_string(s) + ".com";
+      const std::string host = numbered("d", s) + ".com";
       add_request(a, bot, host, "/x.php");
       for (int rep = 0; rep < 5; ++rep) add_request(b, bot, host, "/x.php");
     }

@@ -242,7 +242,9 @@ TEST(AsyncStreamCoalescing, BurstOfClosesSkipsToNewestWindow) {
   EpochId last_epoch = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     accounted += records[i].epochs_closed;
-    if (i > 0) EXPECT_GT(records[i].last_epoch, last_epoch);  // newest wins
+    if (i > 0) {
+      EXPECT_GT(records[i].last_epoch, last_epoch);  // newest wins
+    }
     last_epoch = records[i].last_epoch;
   }
   EXPECT_EQ(accounted, engine.epochs_closed_total());

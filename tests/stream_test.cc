@@ -15,6 +15,7 @@
 #include "stream/ingest.h"
 #include "stream/verdict.h"
 #include "synth/stream_gen.h"
+#include "test_helpers.h"
 
 namespace smash::stream {
 namespace {
@@ -613,7 +614,7 @@ TEST(StreamSnapshot, SurfacesLateEventLoss) {
 std::shared_ptr<const EpochShard> shard_with_requests(int n) {
   StreamIngestor ingestor(small_config(/*epoch_s=*/100, /*window=*/4));
   for (int i = 0; i < n; ++i) {
-    ingestor.ingest(req(10 + i, "c" + std::to_string(i), "x.com"));
+    ingestor.ingest(req(10 + i, test::numbered("c", i), "x.com"));
   }
   ingestor.close_epoch();
   return ingestor.window().back();

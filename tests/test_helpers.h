@@ -37,6 +37,15 @@ inline void resolve(net::Trace& trace, std::string_view host, std::string_view i
   trace.add_resolution(trace.intern_server(host), trace.intern_ip(ip));
 }
 
+// `prefix` followed by the decimal `n` ("c" + 7 -> "c7"), built by append.
+// GCC 12 flags `"literal" + std::to_string(n)` with a false -Wrestrict
+// (GCC bug 105329); this spelling avoids it.
+inline std::string numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 // --- seeded random inputs for the differential harnesses --------------------
 
 // Planted communities with random bridges — the shape SMASH's similarity
