@@ -6,47 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace smash::bench {
-
-std::vector<util::IdSet> random_key_sets(std::uint32_t items,
-                                         std::uint32_t keys_per_item,
-                                         std::uint32_t key_space,
-                                         std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<util::IdSet> out(items);
-  for (auto& item : out) {
-    item.reserve(keys_per_item);
-    for (std::uint32_t k = 0; k < keys_per_item; ++k) {
-      item.insert(static_cast<std::uint32_t>(rng.uniform(key_space)));
-    }
-    item.normalize();
-  }
-  return out;
-}
-
-graph::Graph planted_clique_graph(std::uint32_t cliques, std::uint32_t size,
-                                  double bridge_probability,
-                                  std::uint64_t seed) {
-  util::Rng rng(seed);
-  graph::GraphBuilder builder(cliques * size);
-  for (std::uint32_t c = 0; c < cliques; ++c) {
-    const std::uint32_t base = c * size;
-    for (std::uint32_t u = 0; u < size; ++u) {
-      for (std::uint32_t v = u + 1; v < size; ++v) {
-        builder.add_edge(base + u, base + v, 1.0);
-      }
-    }
-  }
-  for (std::uint32_t c = 0; c + 1 < cliques; ++c) {
-    if (rng.bernoulli(bridge_probability)) {
-      builder.add_edge(c * size, (c + 1) * size, 0.3);
-    }
-  }
-  return std::move(builder).build();
-}
 
 const synth::Dataset& dataset(const std::string& preset) {
   static std::map<std::string, synth::Dataset> cache;

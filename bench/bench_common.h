@@ -1,6 +1,6 @@
 // Shared plumbing for the table/figure benches: dataset presets, pipeline
 // sweeps, the Table II/III row layout used by four different tables, and a
-// JSON reporter for the perf benches (BENCH_micro.json / BENCH_pipeline.json).
+// JSON reporter for the quality matrix (BENCH_quality.json).
 #pragma once
 
 #include <chrono>
@@ -10,32 +10,11 @@
 
 #include "core/evaluation.h"
 #include "core/pipeline.h"
-#include "graph/graph.h"
 #include "synth/world.h"
-#include "util/id_set.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 namespace smash::bench {
-
-// --- shared synthetic kernels workloads -------------------------------------
-// One definition for every bench binary: the perf trajectory in
-// BENCH_micro.json is only comparable across binaries and PRs if all of
-// them generate byte-identical inputs from the same seeds.
-
-// Random key sets with ISP-like sparse overlap (key space = 2x items unless
-// overridden). Used by the join micros.
-std::vector<util::IdSet> random_key_sets(std::uint32_t items,
-                                         std::uint32_t keys_per_item,
-                                         std::uint32_t key_space,
-                                         std::uint64_t seed);
-
-// Planted cliques with sparse weak bridges — the shape SMASH's dimension
-// graphs take (campaign cliques, occasional shared-server bridges). Used by
-// the Louvain micros.
-graph::Graph planted_clique_graph(std::uint32_t cliques, std::uint32_t size,
-                                  double bridge_probability,
-                                  std::uint64_t seed);
 
 // The paper's threshold sweep.
 inline const std::vector<double> kThresholds{0.5, 0.8, 1.0, 1.5};
@@ -70,8 +49,8 @@ OperatingPoint run_operating_point(const synth::Dataset& ds);
 // --- perf reporting ---------------------------------------------------------
 
 // Collects named timing entries (plus free-form numeric counters) and writes
-// them as a small self-describing JSON file, e.g. BENCH_micro.json, so
-// successive PRs accumulate a perf trajectory. No external JSON dependency.
+// them as a small self-describing JSON file, e.g. BENCH_quality.json. No
+// external JSON dependency.
 class JsonReporter {
  public:
   explicit JsonReporter(std::string benchmark_set)
@@ -103,15 +82,6 @@ double time_once_ms(Fn&& fn) {
   fn();
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-// Best (minimum) wall-clock time of `repeats` fn() calls, in milliseconds —
-// the usual "min of k" estimator that suppresses scheduling noise.
-template <typename Fn>
-double time_best_ms(int repeats, Fn&& fn) {
-  double best = time_once_ms(fn);
-  for (int i = 1; i < repeats; ++i) best = std::min(best, time_once_ms(fn));
-  return best;
 }
 
 }  // namespace smash::bench

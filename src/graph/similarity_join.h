@@ -158,9 +158,8 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
     unsigned num_threads, JoinStats* stats = nullptr);
 
 // The original hash-map-based join (packed-pair unordered_map), retained as
-// a reference implementation for equivalence tests and the speedup
-// benchmark in bench/perf_micro.cc. Same contract and output order as
-// cooccurrence_join.
+// the test oracle of JoinEquivalenceTest.* (tests/join_scratch_test.cc).
+// Same contract and output order as cooccurrence_join.
 std::vector<CooccurrencePair> cooccurrence_join_reference(
     std::span<const util::IdSet> items, std::uint32_t min_shared = 1,
     const JoinOptions& options = {});

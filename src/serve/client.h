@@ -1,9 +1,9 @@
 // BlockingClient: a minimal synchronous client for the verdict server's
 // framing — connect, send RequestFrames, read ResponseFrames. Used by the
-// server tests and the open-loop load generator (bench/loadgen.cc), which
-// splits one client across a paced sender thread (send only) and a
-// receiver thread (receive only) — safe, because the two directions touch
-// disjoint state (the fd's write side vs its read side + decoder).
+// server tests (tests/serve_server_test.cc) and perfbench's serve_live
+// workload. One thread may send while another receives: the two
+// directions touch disjoint state (the fd's write side vs its read side +
+// decoder).
 #pragma once
 
 #include <cstdint>

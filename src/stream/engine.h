@@ -87,8 +87,8 @@ class SnapshotSlot {
   std::atomic<std::shared_ptr<const DetectionSnapshot>> slot_{};
 };
 
-// Timing/outcome record of one snapshot publication (the perf_stream bench
-// reports these as epoch-close-to-publish latency).
+// Timing/outcome record of one snapshot publication (perfbench's stream_day
+// reports total_ms as the engine's epoch-close-to-publish latency).
 struct EpochCloseRecord {
   EpochId last_epoch = 0;        // newest epoch in the published window
   std::uint32_t window_epochs = 0;

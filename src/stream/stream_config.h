@@ -122,9 +122,8 @@ struct StreamConfig {
   // has the catalog). On (default), the engine maintains counters, gauges
   // and latency histograms for ingest, mining, publication, the WAL and
   // the verdict path; the cost is a few relaxed atomic increments per
-  // event (measured <= 2% of ingest+mine in bench/perf_stream.cc). Off,
-  // every metrics handle is null and the hot paths skip the updates
-  // entirely. Detection output never depends on this switch.
+  // event. Off, every metrics handle is null and the hot paths skip the
+  // updates entirely. Detection output never depends on this switch.
   bool metrics_enabled = true;
 
   // Registry the engine records into. Null (default) = the engine creates

@@ -10,8 +10,9 @@ namespace {
 // and stride-aligned (every full stride contributes exactly one sample, a
 // thread's partial tail stride contributes none) so lookup_ns.count ==
 // sum over threads of floor(thread_lookups / stride): never more than
-// lookups_total / stride, and short at most one sample per thread. The
-// exporter-consistency gate in bench/perf_stream.cc relies on that bound.
+// lookups_total / stride, and short at most one sample per thread.
+// StreamObsGates.SampledLookupCountTracksStride (tests/obs_test.cc) relies
+// on that bound.
 bool sample_lookup() noexcept {
   thread_local std::uint32_t n = 0;
   return ++n % VerdictService::kLookupSampleStride == 0;

@@ -46,11 +46,11 @@ class VerdictService {
  public:
   // Sampling stride of the verdict.lookup_ns histogram: every
   // kLookupSampleStride-th lookup on each calling thread is timed, the
-  // rest pay two relaxed counter increments only. The exporter-consistency
-  // gate in bench/perf_stream.cc holds lookup_ns.count to
-  // lookups_total / kLookupSampleStride (within a per-thread partial-
-  // stride tolerance) — change the stride and that gate, together, and
-  // keep docs/OBSERVABILITY.md in step.
+  // rest pay two relaxed counter increments only.
+  // StreamObsGates.SampledLookupCountTracksStride (tests/obs_test.cc) holds
+  // lookup_ns.count to lookups_total / kLookupSampleStride (within a
+  // per-thread partial-stride tolerance); keep docs/OBSERVABILITY.md in
+  // step with the stride.
   static constexpr std::uint32_t kLookupSampleStride = 64;
 
   // `slot` must outlive the service (it lives in the StreamEngine).
@@ -86,8 +86,8 @@ class VerdictService {
   VerdictServiceStats stats() const;
 
   // The registry the lookup counters land on (the caller-supplied one, or
-  // the service-private default). Lets callers — perf_stream's exporter-
-  // consistency gate, the serve layer's metrics dump — read
+  // the service-private default). Lets callers — the exporter-consistency
+  // test, the serve layer's metrics dump — read
   // verdict.lookups_total / verdict.lookup_ns without guessing which
   // registry this service records into.
   const std::shared_ptr<obs::Registry>& metrics() const noexcept {

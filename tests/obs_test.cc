@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "stream/engine.h"
 #include "stream/verdict.h"
+#include "stream_fuzz_helpers.h"
 #include "test_helpers.h"
 #include "whois/whois.h"
 
@@ -52,6 +53,15 @@ bool json_balanced(const std::string& s) {
     }
   }
   return !s.empty() && !in_string && stack.empty();
+}
+
+std::string read_golden(const std::string& file) {
+  const std::string path = std::string(SMASH_GOLDEN_DIR) + "/" + file;
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing golden file " << path;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
 }
 
 TEST(Counter, ConcurrentIncrementsSumExactly) {
@@ -204,20 +214,23 @@ TEST(RenderPrometheus, GoldenOutput) {
   EXPECT_EQ(registry.render_prometheus(), expected);
 }
 
+// The expected output is tests/golden/registry.json, which ctest also feeds
+// to smash_stats (CMakeLists.txt), so that fixture cannot drift from the
+// exporter. The last line of tests/golden/metrics.jsonl, smash_stats'
+// MetricsLogger fixture, carries the same registry.
 TEST(RenderJson, GoldenOutput) {
   Registry registry;
   registry.counter("a.events_total").inc(3);
   registry.gauge("b.depth").set(1.5);
   registry.histogram("c.lat_ms", {1.0, 10.0}).observe(0.5);
 
-  const std::string expected =
-      "{\"counters\":{\"a.events_total\":3},"
-      "\"gauges\":{\"b.depth\":1.5},"
-      "\"histograms\":{\"c.lat_ms\":{\"bounds\":[1,10],\"counts\":[1,0,0],"
-      "\"count\":1,\"sum\":0.5}}}";
   const std::string json = registry.render_json();
-  EXPECT_EQ(json, expected);
+  EXPECT_EQ(json + "\n", read_golden("registry.json"));
   EXPECT_TRUE(json_balanced(json));
+
+  const std::string jsonl = read_golden("metrics.jsonl");
+  EXPECT_NE(jsonl.find("\"metrics\":" + json + "}\n"), std::string::npos)
+      << jsonl;
 }
 
 TEST(RenderJson, EmptyRegistryIsValid) {
@@ -464,6 +477,114 @@ TEST(VerdictMetrics, PrivateRegistryKeepsPerInstanceStats) {
   b.lookup("z.com");
   EXPECT_EQ(a.stats().queries, 2u);
   EXPECT_EQ(b.stats().queries, 1u);
+}
+
+// --- exporter-consistency gates ----------------------------------------------
+
+// The exported metrics must agree with what the engine and the verdict
+// service did. The suite name keeps both gates in CI's TSan filter
+// (`*Stream*`); the tracer fixture disables the global tracer on exit.
+class StreamObsGates : public TracerTest {};
+
+// verdict.lookup_ns times every kLookupSampleStride-th lookup per thread and
+// verdict.lookups_total counts all of them, so the histogram's sample count
+// stays within 2 of lookups_total / stride: the stride counter is
+// thread-local and shared across services, so this thread may be mid-stride
+// at either end. A sampling predicate that over- or under-samples fails it.
+TEST_F(StreamObsGates, SampledLookupCountTracksStride) {
+  whois::Registry whois_db;
+  stream::StreamConfig config;
+  config.epoch_seconds = 100;
+  config.window_epochs = 3;
+  config.smash.idf_threshold = 50;
+  stream::StreamEngine engine(config, whois_db);
+  for (int i = 0; i < 5; ++i) {
+    engine.ingest(event_at(static_cast<std::uint64_t>(i), test::numbered("c", i),
+                           "evil.com"));
+  }
+  engine.finish();
+  ASSERT_GE(engine.snapshots_published(), 1u);
+
+  const stream::VerdictService service(engine.slot());
+  constexpr std::uint64_t kStride = stream::VerdictService::kLookupSampleStride;
+  constexpr std::uint64_t kLookups = 100 * kStride + kStride / 2;
+  for (std::uint64_t i = 0; i < kLookups; ++i) {
+    // Both lookup entry points share the sampling predicate.
+    if (i % 2 == 0) {
+      service.lookup(i % 3 == 0 ? "evil.com" : "never-seen.example");
+    } else {
+      service.lookup_request("unknown.example", "10.0.0.1");
+    }
+  }
+
+  const auto snap = service.metrics()->snapshot();
+  ASSERT_NE(snap.counter("verdict.lookups_total"), nullptr);
+  ASSERT_NE(snap.histogram("verdict.lookup_ns"), nullptr);
+  const std::uint64_t total = snap.counter("verdict.lookups_total")->value;
+  const std::uint64_t sampled = snap.histogram("verdict.lookup_ns")->count;
+  EXPECT_EQ(total, kLookups);
+  const std::uint64_t expected = total / kStride;
+  const std::uint64_t diff =
+      sampled > expected ? sampled - expected : expected - sampled;
+  EXPECT_LE(diff, 2u) << "verdict.lookup_ns count " << sampled
+                      << " vs lookups_total " << total << " / stride "
+                      << kStride;
+}
+
+// A durable (fsync on seal, checkpointing) engine with the tracer on: WAL
+// fsyncs are timed, every publication observes close-to-publish once, the
+// trace shows one epoch's whole dataflow from ingest to checkpoint install,
+// and the Prometheus text carries the histograms operators scrape.
+TEST_F(StreamObsGates, DurableRunExportsFsyncPublishesAndSpans) {
+  const auto dir = std::filesystem::temp_directory_path() / "smash_obs_durable";
+  std::filesystem::remove_all(dir);
+
+  const auto scenario = synth::generate_stream(test::tiny_scenario_config());
+
+  stream::StreamConfig config;
+  config.epoch_seconds = 600;
+  config.window_epochs = 6;
+  config.smash.idf_threshold = 50;
+  config.durability_dir = dir.string();
+  config.fsync_policy = stream::WalFsync::kOnSeal;
+  config.checkpoint_every_epochs = 2;
+
+  Tracer::global().enable(1u << 16);
+  std::uint64_t publications = 0;
+  std::shared_ptr<Registry> registry;
+  {
+    stream::StreamEngine engine(config, scenario.whois);
+    synth::feed(engine, scenario);
+    engine.finish();
+    publications = engine.snapshots_published();
+    registry = engine.metrics();
+  }
+  const std::string trace_json = Tracer::global().dump_chrome_json();
+  std::filesystem::remove_all(dir);
+
+  ASSERT_NE(registry, nullptr);
+  ASSERT_GT(publications, 0u);
+  const auto snap = registry->snapshot();
+  const auto* fsync_ms = snap.histogram("wal.fsync_ms");
+  ASSERT_NE(fsync_ms, nullptr);
+  EXPECT_GT(fsync_ms->count, 0u);
+  const auto* close_ms = snap.histogram("stream.close_to_publish_ms");
+  ASSERT_NE(close_ms, nullptr);
+  EXPECT_EQ(close_ms->count, publications);
+
+  for (const char* span_name :
+       {"stream.ingest", "stream.epoch_seal", "stream.assemble", "stream.mine",
+        "mine.join", "louvain.sweep", "stream.publish", "wal.fsync",
+        "ckpt.install"}) {
+    EXPECT_NE(trace_json.find(std::string("\"name\":\"") + span_name + "\""),
+              std::string::npos)
+        << "trace has no " << span_name << " span";
+  }
+
+  const std::string prometheus = registry->render_prometheus();
+  EXPECT_NE(prometheus.find("smash_stream_close_to_publish_ms_bucket"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("smash_wal_fsync_ms_bucket"), std::string::npos);
 }
 
 }  // namespace

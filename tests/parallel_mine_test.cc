@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "core/pipeline.h"
+#include "synth/world.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -156,29 +158,23 @@ TEST(ParallelMining, WhoisAndFileJoinShardsMatchSerial) {
   }
 }
 
-// SmashConfig::join_memory_budget_bytes must change memory shape only:
-// campaigns and ashes are byte-identical to the unbounded run, the
-// bounded-memory sharding provably engaged (more passes than joins), and
-// residency observables flow up into SmashResult.
-TEST(ParallelMining, BudgetedJoinsMatchUnbounded) {
-  const net::Trace trace = structured_trace();
-  const whois::Registry registry;
-
-  SmashConfig config;
-  config.idf_threshold = 100;
-  config.num_threads = 1;
-  const auto unbounded = SmashPipeline(config).run(trace, registry);
+// Runs `config` at `budget` bytes on 1 and 4 threads against its
+// `unbounded` run: the budgeted runs must reproduce the kept servers, ashes
+// and campaigns byte-identically, provably shard (more passes than joins),
+// stay within the budget, and never trip the postings cap.
+void expect_budgeted_matches(const net::Trace& trace,
+                             const whois::Registry& registry,
+                             const SmashConfig& config,
+                             const SmashResult& unbounded,
+                             std::size_t budget) {
   const std::size_t joins = unbounded.dims.size();
-  EXPECT_EQ(unbounded.join_shard_passes(), joins);  // one pass per join
-  EXPECT_GT(unbounded.peak_resident_postings_bytes(), 0u);
-
-  constexpr std::size_t kBudget = 1024;
   for (const unsigned threads : {1u, 4u}) {
     SmashConfig budgeted = config;
     budgeted.num_threads = threads;
-    budgeted.join_memory_budget_bytes = kBudget;
+    budgeted.join_memory_budget_bytes = budget;
     const auto result = SmashPipeline(budgeted).run(trace, registry);
 
+    EXPECT_EQ(result.pre.kept, unbounded.pre.kept) << "threads=" << threads;
     ASSERT_EQ(result.dims.size(), unbounded.dims.size());
     for (std::size_t d = 0; d < result.dims.size(); ++d) {
       expect_same_ashes(unbounded.dims[d], result.dims[d]);
@@ -191,13 +187,48 @@ TEST(ParallelMining, BudgetedJoinsMatchUnbounded) {
     }
 
     EXPECT_GT(result.join_shard_passes(), joins) << "threads=" << threads;
-    // No key in this trace outruns the budget on its own, so residency
+    // No key in these inputs outruns the budget on its own, so residency
     // honors it (the threaded fan-out splits it per dimension, which only
     // tightens the bound).
-    EXPECT_LE(result.peak_resident_postings_bytes(), kBudget)
+    EXPECT_LE(result.peak_resident_postings_bytes(), budget)
         << "threads=" << threads;
-    EXPECT_FALSE(result.postings_budget_exceeded());
+    EXPECT_FALSE(result.postings_budget_exceeded()) << "threads=" << threads;
   }
+}
+
+// SmashConfig::join_memory_budget_bytes must change memory shape only:
+// campaigns and ashes are byte-identical to the unbounded run, the
+// bounded-memory sharding provably engaged (more passes than joins), and
+// residency observables flow up into SmashResult.
+TEST(ParallelMining, BudgetedJoinsMatchUnbounded) {
+  const net::Trace trace = structured_trace();
+  const whois::Registry registry;
+
+  SmashConfig config;
+  config.idf_threshold = 100;
+  config.num_threads = 1;
+  const auto unbounded = SmashPipeline(config).run(trace, registry);
+  // One pass per join.
+  EXPECT_EQ(unbounded.join_shard_passes(), unbounded.dims.size());
+  EXPECT_GT(unbounded.peak_resident_postings_bytes(), 0u);
+  expect_budgeted_matches(trace, registry, config, unbounded, 1024);
+
+  // A scaled-down 2012week world with the postings caps made inert (no
+  // skipping, no undercount), budgeted at a quarter of the in-RAM peak:
+  // week scale completes exactly where the default stop-file cap would
+  // undercount.
+  const auto week =
+      synth::generate_world(synth::data2012week().scaled(0.12));
+  SmashConfig exact;
+  exact.num_threads = 1;
+  exact.join_postings_cap = std::numeric_limits<std::uint32_t>::max();
+  exact.file_postings_cap = std::numeric_limits<std::uint32_t>::max();
+  const auto week_unbounded = SmashPipeline(exact).run(week.trace, week.whois);
+  EXPECT_GT(week_unbounded.campaigns.size(), 0u);
+  EXPECT_FALSE(week_unbounded.postings_budget_exceeded());
+  const std::size_t budget =
+      std::max<std::size_t>(week_unbounded.peak_resident_postings_bytes() / 4, 1);
+  expect_budgeted_matches(week.trace, week.whois, exact, week_unbounded, budget);
 }
 
 // A workload whose client join dwarfs every other dimension's: the

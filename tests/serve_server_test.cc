@@ -15,6 +15,7 @@
 
 #include "serve/client.h"
 #include "stream/engine.h"
+#include "stream_fuzz_helpers.h"
 #include "synth/stream_gen.h"
 #include "util/binary.h"
 
@@ -22,25 +23,7 @@ namespace smash::serve {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Mirrors the tiny scenario in stream_test.cc: small enough for unit
-// tests, campaigns reliably detected.
-synth::StreamScenarioConfig tiny_scenario_config() {
-  synth::StreamScenarioConfig config;
-  config.seed = 11;
-  config.duration_s = 6 * 600;
-  config.benign_servers = 60;
-  config.benign_clients = 40;
-  config.benign_visits = 500;
-  config.popular_servers = 2;
-  config.popular_clients = 70;
-  config.campaigns = 1;
-  config.campaign_servers = 5;
-  config.campaign_bots = 4;
-  config.poll_interval_s = 120;
-  config.active_fraction = 0.5;
-  return config;
-}
+using test::tiny_scenario_config;
 
 stream::StreamConfig tiny_stream_config() {
   stream::StreamConfig config;
@@ -155,6 +138,14 @@ TEST(ServeServer, AnswersSingleAndBatchedLookups) {
   // plus the (campaign + 1)-entry batch.
   EXPECT_EQ(counter_value(registry, "verdict.lookups_total"),
             truth.servers.size() + 8);
+
+  // The Prometheus text operators scrape carries the serving surface.
+  const std::string prometheus = registry.render_prometheus();
+  for (const char* name :
+       {"smash_serve_accepted_total", "smash_serve_rejected_total",
+        "smash_serve_request_ns_bucket"}) {
+    EXPECT_NE(prometheus.find(name), std::string::npos) << name;
+  }
 }
 
 TEST(ServeServer, NoSnapshotYetIsExplicitlyStale) {

@@ -1,9 +1,10 @@
-// Shared streaming-fuzz machinery: the seeded random event schedule, its
-// engine config, and deep snapshot equality. Used by the sync/async
-// differential harness (tests/fuzz_equivalence_test.cc), the
-// crash-recovery matrix (tests/recovery_equivalence_test.cc), and the WAL
-// corruption fuzzer. Deterministic from the seed via util::Rng, so a
-// failing seed reproduces exactly (docs/TESTING.md).
+// Shared streaming test machinery: the seeded random event schedule, its
+// engine config, deep snapshot equality, and the tiny synthetic scenario.
+// Used by the sync/async differential harness
+// (tests/fuzz_equivalence_test.cc), the crash-recovery matrix
+// (tests/recovery_equivalence_test.cc), the WAL corruption fuzzer, and the
+// engine, serving and exporter tests. Deterministic from the seed via
+// util::Rng, so a failing seed reproduces exactly (docs/TESTING.md).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -20,6 +21,26 @@
 namespace smash::test {
 
 inline constexpr std::uint32_t kFuzzEpochSeconds = 600;
+
+// A scenario small enough for unit tests whose campaigns the pipeline
+// reliably detects (with 600 s epochs, a 6-epoch window and an IDF
+// threshold of 50, which filters the 70 popular clients).
+inline synth::StreamScenarioConfig tiny_scenario_config() {
+  synth::StreamScenarioConfig config;
+  config.seed = 11;
+  config.duration_s = 6 * 600;
+  config.benign_servers = 60;
+  config.benign_clients = 40;
+  config.benign_visits = 500;
+  config.popular_servers = 2;
+  config.popular_clients = 70;
+  config.campaigns = 1;
+  config.campaign_servers = 5;
+  config.campaign_bots = 4;
+  config.poll_interval_s = 120;
+  config.active_fraction = 0.5;
+  return config;
+}
 
 // Random timestamped schedule: bursts of benign browsing and campaign
 // polling with occasional multi-epoch gaps and late (out-of-order) events.

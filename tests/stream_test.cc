@@ -14,11 +14,14 @@
 
 #include "stream/ingest.h"
 #include "stream/verdict.h"
+#include "stream_fuzz_helpers.h"
 #include "synth/stream_gen.h"
 #include "test_helpers.h"
 
 namespace smash::stream {
 namespace {
+
+using test::tiny_scenario_config;
 
 RequestEvent req(std::uint64_t time_s, std::string client, std::string host,
                  std::string path = "/x.html") {
@@ -148,25 +151,6 @@ TEST(StreamIngestor, AssembledWindowMatchesShardContents) {
   EXPECT_EQ(window.num_clients(), 2u);
   EXPECT_EQ(window.ips_of(*window.servers().find("a.com")).size(), 1u);
   EXPECT_EQ(window.ips_of(*window.servers().find("b.com")).size(), 1u);
-}
-
-// A scenario small enough for unit tests whose campaigns the pipeline
-// reliably detects.
-synth::StreamScenarioConfig tiny_scenario_config() {
-  synth::StreamScenarioConfig config;
-  config.seed = 11;
-  config.duration_s = 6 * 600;
-  config.benign_servers = 60;
-  config.benign_clients = 40;
-  config.benign_visits = 500;
-  config.popular_servers = 2;
-  config.popular_clients = 70;
-  config.campaigns = 1;
-  config.campaign_servers = 5;
-  config.campaign_bots = 4;
-  config.poll_interval_s = 120;
-  config.active_fraction = 0.5;
-  return config;
 }
 
 StreamConfig tiny_stream_config(unsigned threads = 1) {
