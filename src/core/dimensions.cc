@@ -347,13 +347,19 @@ DimensionAshes remap_ashes_to_kept(DimensionAshes canonical,
   return out;
 }
 
-DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
-                              const whois::Registry& registry,
-                              const SmashConfig& config) {
+namespace {
+
+// mine_dimension over a precomputed canonical_mining_order(pre), so
+// mine_all_dimensions sorts the kept-server names once per mine.
+DimensionAshes mine_dimension_in_order(Dimension dimension,
+                                       const PreprocessResult& pre,
+                                       const whois::Registry& registry,
+                                       const SmashConfig& config,
+                                       std::vector<std::uint32_t> order) {
   SMASH_SPAN(dimension_mine_span_name(dimension));
   const auto start = std::chrono::steady_clock::now();
   const auto input = build_dimension_join_input(
-      dimension, pre, registry, config, canonical_mining_order(pre),
+      dimension, pre, registry, config, std::move(order),
       dimension_join_threads(dimension, config));
 
   graph::JoinOptions join_options;
@@ -379,15 +385,26 @@ DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
   return out;
 }
 
+}  // namespace
+
+DimensionAshes mine_dimension(Dimension dimension, const PreprocessResult& pre,
+                              const whois::Registry& registry,
+                              const SmashConfig& config) {
+  return mine_dimension_in_order(dimension, pre, registry, config,
+                                 canonical_mining_order(pre));
+}
+
 std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
                                                 const whois::Registry& registry,
                                                 const SmashConfig& config) {
   const int dimensions = config.enable_param_dimension ? kNumDimensions + 1
                                                        : kNumDimensions;
   std::vector<DimensionAshes> out(dimensions);
+  const auto order = canonical_mining_order(pre);
   if (config.num_threads <= 1) {
     for (int d = 0; d < dimensions; ++d) {
-      out[d] = mine_dimension(static_cast<Dimension>(d), pre, registry, config);
+      out[d] = mine_dimension_in_order(static_cast<Dimension>(d), pre, registry,
+                                       config, order);
     }
     return out;
   }
@@ -418,8 +435,9 @@ std::vector<DimensionAshes> mine_all_dimensions(const PreprocessResult& pre,
                                  static_cast<unsigned>(dimensions - 1)));
   util::parallel_for(pool, static_cast<std::size_t>(dimensions),
                      [&](std::size_t d) {
-                       out[d] = mine_dimension(static_cast<Dimension>(d), pre,
-                                               registry, dim_configs[d]);
+                       out[d] = mine_dimension_in_order(
+                           static_cast<Dimension>(d), pre, registry,
+                           dim_configs[d], order);
                      });
   return out;
 }

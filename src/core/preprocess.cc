@@ -7,10 +7,10 @@ namespace smash::core {
 
 AggregatedTrace AggregatedTrace::build(const net::Trace& trace) {
   AggregatedTrace out;
-  out.raw_servers_ = trace.servers().size();
 
   // hostname id -> aggregated id, computed once per hostname.
-  std::vector<std::uint32_t> agg_of(trace.servers().size());
+  auto& agg_of = out.agg_of_;
+  agg_of.resize(trace.servers().size());
   for (std::uint32_t s = 0; s < trace.servers().size(); ++s) {
     agg_of[s] = out.servers_.intern(dns::effective_2ld(trace.servers().name(s)));
   }
@@ -56,13 +56,13 @@ AggregatedTrace AggregatedTrace::from_parts(
     util::Interner servers, util::Interner files,
     std::vector<ServerProfile> profiles,
     std::unordered_map<std::uint32_t, std::uint32_t> redirects,
-    std::uint32_t raw_servers) {
+    std::vector<std::uint32_t> agg_of) {
   AggregatedTrace out;
   out.servers_ = std::move(servers);
   out.files_ = std::move(files);
   out.profiles_ = std::move(profiles);
   out.redirects_ = std::move(redirects);
-  out.raw_servers_ = raw_servers;
+  out.agg_of_ = std::move(agg_of);
   out.profiles_.resize(out.servers_.size());
   return out;
 }

@@ -42,15 +42,15 @@ class AggregatedTrace {
   static AggregatedTrace build(const net::Trace& trace);
 
   // Assembles an AggregatedTrace from already-merged parts (the streaming
-  // engine's per-epoch preprocessed shards, core/preshard.h). `servers` is
-  // the 2LD interner, `profiles` parallel to it; `raw_servers` the hostname
-  // count before aggregation. The caller guarantees the parts are exactly
-  // what build() would have produced for the assembled window.
+  // engine's per-epoch shard caches, core/preshard.h). `servers` is the 2LD
+  // interner, `profiles` parallel to it; `agg_of` the window's hostname id
+  // -> 2LD id map. The caller guarantees the parts are exactly what build()
+  // would have produced for the assembled window.
   static AggregatedTrace from_parts(
       util::Interner servers, util::Interner files,
       std::vector<ServerProfile> profiles,
       std::unordered_map<std::uint32_t, std::uint32_t> redirects,
-      std::uint32_t raw_servers);
+      std::vector<std::uint32_t> agg_of);
 
   const util::Interner& servers() const noexcept { return servers_; }
   const util::Interner& files() const noexcept { return files_; }
@@ -65,8 +65,13 @@ class AggregatedTrace {
     return redirects_;
   }
 
+  // Aggregated (2LD) id of every hostname id of the source trace. Server
+  // 2LDs take ids in hostname order; referrer-only 2LDs follow them, in
+  // request order.
+  const std::vector<std::uint32_t>& agg_of() const noexcept { return agg_of_; }
+
   std::uint32_t num_servers_before_aggregation() const noexcept {
-    return raw_servers_;
+    return static_cast<std::uint32_t>(agg_of_.size());
   }
 
  private:
@@ -74,7 +79,7 @@ class AggregatedTrace {
   util::Interner files_;    // URI file strings
   std::vector<ServerProfile> profiles_;
   std::unordered_map<std::uint32_t, std::uint32_t> redirects_;
-  std::uint32_t raw_servers_ = 0;
+  std::vector<std::uint32_t> agg_of_;
 };
 
 struct PreprocessResult {

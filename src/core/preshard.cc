@@ -1,80 +1,27 @@
 #include "core/preshard.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <utility>
 
-#include "dns/domain.h"
-#include "net/http.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace smash::core {
 
-ShardPre build_shard_pre(const net::Trace& shard) {
-  ShardPre out;
-  const std::uint32_t num_servers = shard.servers().size();
-  out.server_2lds.reserve(num_servers);
-  out.delta_of_server.reserve(num_servers);
-
-  // 2LD each raw server exactly once; delta slots in raw-server-id order,
-  // mirroring AggregatedTrace::build's aggregation order.
-  util::Interner delta_ids;
-  for (std::uint32_t s = 0; s < num_servers; ++s) {
-    std::string two_ld = dns::effective_2ld(shard.servers().name(s));
-    out.delta_of_server.push_back(delta_ids.intern(two_ld));
-    out.server_2lds.push_back(std::move(two_ld));
-  }
-  out.delta_2lds = delta_ids.names();
-  out.deltas.resize(out.delta_2lds.size());
-
-  // One pass over the shard's requests: all per-request string parsing
-  // (URI file, parameter pattern, referrer 2LD) happens here, once per
-  // epoch, never again on window slides.
-  util::Interner files;
-  util::Interner referrers;
-  for (const auto& req : shard.requests()) {
-    ShardServerDelta& delta = out.deltas[out.delta_of_server[req.server]];
-    delta.clients.insert(req.client);
-    delta.days.insert(req.day);
-    delta.files.insert(files.intern(net::uri_file(req.path)));
-
-    delta.user_agents.insert(req.user_agent);
-    std::string pattern = net::param_pattern(req.path);
-    if (!pattern.empty()) delta.param_patterns.insert(std::move(pattern));
-
-    if (!req.referrer.empty()) {
-      ++delta.referrer_counts[referrers.intern(dns::effective_2ld(req.referrer))];
-    }
-
-    ++delta.requests;
-    if (net::is_error_status(req.status)) ++delta.error_requests;
-  }
-  out.file_names = files.names();
-  out.referrer_2lds = referrers.names();
-
-  for (std::uint32_t s = 0; s < num_servers; ++s) {
-    ShardServerDelta& delta = out.deltas[out.delta_of_server[s]];
-    for (const auto ip : shard.ips_of(s)) delta.ips.insert(ip);
-  }
-
-  for (auto& delta : out.deltas) {
-    delta.clients.normalize();
-    delta.ips.normalize();
-    delta.days.normalize();
-    delta.files.normalize();
-  }
-  return out;
-}
-
 WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
                            const SmashConfig& config) {
   WindowPre out;
 
-  // Per-shard id remaps into the window id space.
+  // Per-shard id remaps into the window id space. `agg` remaps the shard's
+  // whole 2LD interner, so one table serves both the profiles and their
+  // referrer-count keys.
   struct Remap {
-    std::vector<std::uint32_t> client, server, ip, file, referrer;
+    std::vector<std::uint32_t> client, server, ip, file, agg;
   };
+  constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
   std::vector<Remap> remaps(shards.size());
 
   util::Interner clients;      // window client interner (ids only)
@@ -86,14 +33,15 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
 
   // Phase 1: window client/server/ip interners by first appearance across
   // shards in epoch order — the order journal-replay window assembly
-  // produces. A raw server new to the window gets its 2LD interned
-  // immediately, so agg ids follow window-raw-server order exactly as in
-  // AggregatedTrace::build.
+  // produces. Each shard's server 2LDs are interned as its hostnames are
+  // walked; a 2LD new to the window is first reached through a hostname
+  // new to the window, so agg ids follow window-raw-server order exactly
+  // as in AggregatedTrace::build.
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const net::Trace& trace = *shards[i].trace;
-    const ShardPre& pre = *shards[i].pre;
-    SMASH_CHECK(pre.server_2lds.size() == trace.servers().size(),
-                "merge_shard_pres: ShardPre out of date with its trace");
+    const AggregatedTrace& pre = *shards[i].pre;
+    SMASH_CHECK(pre.agg_of().size() == trace.servers().size(),
+                "merge_shard_pres: shard cache out of date with its trace");
     Remap& remap = remaps[i];
 
     remap.client.reserve(trace.clients().size());
@@ -104,67 +52,66 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
     for (std::uint32_t p = 0; p < trace.ips().size(); ++p) {
       remap.ip.push_back(out.ips.intern(trace.ips().name(p)));
     }
+    remap.agg.assign(pre.servers().size(), kUnmapped);
     remap.server.reserve(trace.servers().size());
     for (std::uint32_t s = 0; s < trace.servers().size(); ++s) {
       const std::uint32_t before = raw_servers.size();
       const std::uint32_t w = raw_servers.intern(trace.servers().name(s));
       remap.server.push_back(w);
-      if (w == before) agg_of.push_back(agg_servers.intern(pre.server_2lds[s]));
+      const std::uint32_t a = pre.agg_of()[s];
+      if (remap.agg[a] == kUnmapped) {
+        remap.agg[a] = agg_servers.intern(pre.server_name(a));
+      }
+      if (w == before) agg_of.push_back(remap.agg[a]);
     }
   }
 
   // Phase 2: window file interner — concatenating the shards' request-order
-  // file lists reproduces first appearance across window request order.
+  // file interners reproduces first appearance across window request order.
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardPre& pre = *shards[i].pre;
-    remaps[i].file.reserve(pre.file_names.size());
-    for (const auto& name : pre.file_names) {
-      remaps[i].file.push_back(files.intern(name));
+    const auto& names = shards[i].pre->files().names();
+    remaps[i].file.reserve(names.size());
+    for (const auto& name : names) remaps[i].file.push_back(files.intern(name));
+  }
+
+  // Phase 3: each shard's referrer-only tail (2LDs no hostname of that
+  // shard maps to, in shard request order) appends to the agg interner
+  // after all server 2LDs, in shard order — as the batch request scan
+  // would intern them.
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const AggregatedTrace& pre = *shards[i].pre;
+    auto& remap_agg = remaps[i].agg;
+    for (std::uint32_t a = 0; a < remap_agg.size(); ++a) {
+      if (remap_agg[a] == kUnmapped) {
+        remap_agg[a] = agg_servers.intern(pre.server_name(a));
+      }
     }
   }
 
-  // Phase 3: referrer-only 2LDs append to the agg interner after all server
-  // 2LDs, in window request order — as the batch request scan would.
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardPre& pre = *shards[i].pre;
-    remaps[i].referrer.reserve(pre.referrer_2lds.size());
-    for (const auto& name : pre.referrer_2lds) {
-      remaps[i].referrer.push_back(agg_servers.intern(name));
-    }
-  }
-
-  // Phase 4: merge the per-shard deltas into window profiles. Referrer-only
-  // 2LDs keep default-empty profiles, as after the batch resize.
+  // Phase 4: fold every shard profile into its window profile. That
+  // includes resolution-only servers (no requests, but IPs); referrer-only
+  // profiles are empty and fold to nothing.
   //
   // Parallel by interner range: each worker owns a contiguous range of
-  // window 2LD (agg) ids and applies, in shard order, exactly the deltas
-  // landing in its range — per-profile delta application order is
-  // identical to the serial walk (only which thread performs it changes),
-  // ranges are disjoint so there is no sharing, and the result is
-  // byte-identical for every config.num_threads.
+  // window 2LD (agg) ids and folds, in shard order, exactly the profiles
+  // landing in its range — per-profile fold order is identical to the
+  // serial walk (only which thread performs it changes), ranges are
+  // disjoint so there is no sharing, and the result is byte-identical for
+  // every config.num_threads.
   std::vector<ServerProfile> profiles(agg_servers.size());
   std::uint64_t total_requests = 0;
-  std::vector<std::vector<std::uint32_t>> delta_agg(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ShardPre& pre = *shards[i].pre;
-    total_requests += shards[i].trace->num_requests();
-    delta_agg[i].reserve(pre.delta_2lds.size());
-    for (const auto& two_ld : pre.delta_2lds) {
-      const auto agg_id = agg_servers.find(two_ld);
-      SMASH_CHECK(agg_id.has_value(),
-                  "merge_shard_pres: shard 2LD missing from window interner");
-      delta_agg[i].push_back(*agg_id);
-    }
+  for (const auto& shard : shards) {
+    total_requests += shard.trace->num_requests();
   }
 
   const auto merge_agg_range = [&](std::uint32_t agg_lo, std::uint32_t agg_hi) {
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      const ShardPre& pre = *shards[i].pre;
+      const auto& shard_profiles = shards[i].pre->profiles();
       const Remap& remap = remaps[i];
-      for (std::size_t d = 0; d < pre.deltas.size(); ++d) {
-        const auto agg_id = delta_agg[i][d];
+      for (std::size_t a = 0; a < shard_profiles.size(); ++a) {
+        const auto agg_id = remap.agg[a];
         if (agg_id < agg_lo || agg_id >= agg_hi) continue;
-        const ShardServerDelta& delta = pre.deltas[d];
+        const ServerProfile& delta = shard_profiles[a];
         ServerProfile& profile = profiles[agg_id];
         for (const auto c : delta.clients) profile.clients.insert(remap.client[c]);
         for (const auto p : delta.ips) profile.ips.insert(remap.ip[p]);
@@ -174,8 +121,8 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
                                    delta.user_agents.end());
         profile.param_patterns.insert(delta.param_patterns.begin(),
                                       delta.param_patterns.end());
-        for (const auto& [ref_local, count] : delta.referrer_counts) {
-          profile.referrer_counts[remap.referrer[ref_local]] += count;
+        for (const auto& [ref, count] : delta.referrer_counts) {
+          profile.referrer_counts[remap.agg[ref]] += count;
         }
         profile.requests += delta.requests;
         profile.error_requests += delta.error_requests;
@@ -225,56 +172,61 @@ WindowPre merge_shard_pres(const std::vector<ShardPreRef>& shards,
     if (from_agg != to_agg) agg_redirects[from_agg] = to_agg;
   }
 
-  const std::uint32_t num_raw_servers = raw_servers.size();
   out.pre.agg = AggregatedTrace::from_parts(
       std::move(agg_servers), std::move(files), std::move(profiles),
-      std::move(agg_redirects), num_raw_servers);
+      std::move(agg_redirects), std::move(agg_of));
   out.pre.total_requests = total_requests;
   apply_idf_filter(out.pre, config);
   return out;
 }
 
-std::uint64_t shard_pre_fingerprint(const ShardPre& pre) {
+std::uint64_t shard_pre_fingerprint(const AggregatedTrace& pre) {
   // FNV-1a over the ordered parts; unordered sets/maps fold in as sums of
   // per-element hashes so iteration order cannot affect the result.
-  std::uint64_t h = util::fnv1a("shard-pre-v1");
+  std::uint64_t h = util::fnv1a("shard-pre-v2");
   const auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
-  const auto mix_str = [&mix](const std::string& s) { mix(util::fnv1a(s)); };
+  const auto mix_names = [&mix](const util::Interner& interner) {
+    mix(interner.size());
+    for (const auto& s : interner.names()) mix(util::fnv1a(s));
+  };
   const auto mix_ids = [&mix](const util::IdSet& set) {
     mix(set.size());
     for (const auto id : set) mix(id);
   };
+  const auto pair_hash = [](std::string_view tag, std::uint32_t a,
+                            std::uint32_t b) {
+    return util::fnv1a(tag) ^ (static_cast<std::uint64_t>(a) << 32 | b);
+  };
 
-  mix(pre.server_2lds.size());
-  for (const auto& s : pre.server_2lds) mix_str(s);
-  mix(pre.delta_of_server.size());
-  for (const auto d : pre.delta_of_server) mix(d);
-  mix(pre.delta_2lds.size());
-  for (const auto& s : pre.delta_2lds) mix_str(s);
-  mix(pre.file_names.size());
-  for (const auto& s : pre.file_names) mix_str(s);
-  mix(pre.referrer_2lds.size());
-  for (const auto& s : pre.referrer_2lds) mix_str(s);
+  mix_names(pre.servers());
+  mix(pre.agg_of().size());
+  for (const auto a : pre.agg_of()) mix(a);
+  mix_names(pre.files());
+  std::uint64_t unordered = 0;
+  for (const auto& [from, to] : pre.redirects()) {
+    unordered += pair_hash("redirect", from, to);
+  }
+  mix(unordered);
 
-  mix(pre.deltas.size());
-  for (const auto& delta : pre.deltas) {
-    mix_ids(delta.clients);
-    mix_ids(delta.ips);
-    mix_ids(delta.days);
-    mix_ids(delta.files);
-    mix(delta.requests);
-    mix(delta.error_requests);
-    std::uint64_t unordered = 0;
-    for (const auto& ua : delta.user_agents) unordered += util::fnv1a(ua);
+  mix(pre.profiles().size());
+  for (const auto& profile : pre.profiles()) {
+    mix_ids(profile.clients);
+    mix_ids(profile.ips);
+    mix_ids(profile.days);
+    mix_ids(profile.files);
+    mix(profile.requests);
+    mix(profile.error_requests);
+    unordered = 0;
+    for (const auto& ua : profile.user_agents) unordered += util::fnv1a(ua);
     mix(unordered);
     unordered = 0;
-    for (const auto& p : delta.param_patterns) unordered += util::fnv1a(p);
+    for (const auto& p : profile.param_patterns) unordered += util::fnv1a(p);
     mix(unordered);
     unordered = 0;
-    for (const auto& [ref, count] : delta.referrer_counts) {
-      unordered += util::fnv1a("ref") ^ (static_cast<std::uint64_t>(ref) << 32 | count);
+    for (const auto& [ref, count] : profile.referrer_counts) {
+      unordered += pair_hash("ref", ref, count);
     }
     mix(unordered);
   }

@@ -11,7 +11,8 @@ namespace smash::durability {
 namespace {
 
 constexpr std::string_view kMagic = "SMCK";
-constexpr std::uint32_t kVersion = 1;
+// Version 2: pre_fingerprint hashes the shard's AggregatedTrace.
+constexpr std::uint32_t kVersion = 2;
 // Checkpoints scale with window size, not with a corrupt length field:
 // anything claiming more than 1 GiB of body is rejected before allocation.
 constexpr std::uint32_t kMaxBody = 1u << 30;

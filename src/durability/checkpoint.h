@@ -14,8 +14,8 @@
 // lands in the next epoch's segment before the checkpoint is taken, so the
 // open shard is part of the state), the per-2LD window aggregates (sorted;
 // recovery rebuilds them from the shards and cross-checks this list), and
-// per-shard ShardPre fingerprints (recovery rebuilds each shard's
-// preprocessed cache deterministically from its trace and cross-checks —
+// per-shard fingerprints of each shard's cached AggregatedTrace (recovery
+// rebuilds it deterministically from the shard trace and cross-checks —
 // core::shard_pre_fingerprint).
 //
 // replay_segment/replay_offset are the WAL position the state corresponds

@@ -419,8 +419,9 @@ std::unique_ptr<StreamEngine> StreamEngine::recover(
     for (const auto& shard : ckpt->window) {
       auto restored =
           EpochShard::restore_sealed(shard.epoch, deserialize(shard.trace_bytes));
-      // The ShardPre cache is rebuilt, not deserialized; the fingerprint
-      // proves the rebuild matches what the pre-crash engine was mining.
+      // The shard's AggregatedTrace is rebuilt, not deserialized; the
+      // fingerprint proves the rebuild matches what the pre-crash engine
+      // was mining.
       if (core::shard_pre_fingerprint(restored.pre()) != shard.pre_fingerprint) {
         throw durability::RecoveryError(
             "rebuilt shard preprocess cache diverges from checkpoint "

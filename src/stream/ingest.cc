@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "dns/domain.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -61,35 +60,37 @@ void EpochShard::add(const RedirectEvent& event) {
 void EpochShard::seal() {
   if (sealed_) return;
   trace_.finalize();
-  // All per-request parsing happens once, here: the cached ShardPre feeds
-  // both the window aggregates delta and every future window re-mine.
-  pre_ = core::build_shard_pre(trace_);
-  for (std::size_t d = 0; d < pre_.deltas.size(); ++d) {
-    const auto& shard_delta = pre_.deltas[d];
-    if (shard_delta.requests == 0) continue;  // resolution/redirect-only 2LD
-    auto& delta = per_2ld_[pre_.delta_2lds[d]];
-    delta.requests = shard_delta.requests;
-    delta.error_requests = shard_delta.error_requests;
-    delta.active_epochs = 1;
-  }
+  // All per-request parsing happens once, here: the cached AggregatedTrace
+  // feeds both the window aggregates delta and every future window re-mine.
+  pre_ = core::AggregatedTrace::build(trace_);
   sealed_ = true;
 }
 
 // --- WindowAggregates --------------------------------------------------------
 
+// An epoch's per-2LD delta is its shard's profiles; a profile without
+// requests (resolution/redirect-only or referrer-only 2LD) contributes
+// nothing, not even an active epoch.
+
 void WindowAggregates::add_epoch(const EpochShard& shard) {
-  for (const auto& [host, delta] : shard.per_2ld()) {
-    auto& agg = by_2ld_[host];
+  const auto& pre = shard.pre();
+  for (std::uint32_t s = 0; s < pre.servers().size(); ++s) {
+    const auto& delta = pre.profile(s);
+    if (delta.requests == 0) continue;
+    auto& agg = by_2ld_[pre.server_name(s)];
     agg.requests += delta.requests;
     agg.error_requests += delta.error_requests;
-    agg.active_epochs += delta.active_epochs;
+    agg.active_epochs += 1;
     window_requests_ += delta.requests;
   }
 }
 
 void WindowAggregates::remove_epoch(const EpochShard& shard) {
-  for (const auto& [host, delta] : shard.per_2ld()) {
-    auto it = by_2ld_.find(host);
+  const auto& pre = shard.pre();
+  for (std::uint32_t s = 0; s < pre.servers().size(); ++s) {
+    const auto& delta = pre.profile(s);
+    if (delta.requests == 0) continue;
+    auto it = by_2ld_.find(pre.server_name(s));
     // An evicted shard's delta was added when the shard entered the window;
     // a missing entry or a delta exceeding the accumulated value means the
     // aggregates no longer describe the window — underflow here would serve
@@ -99,12 +100,12 @@ void WindowAggregates::remove_epoch(const EpochShard& shard) {
     auto& agg = it->second;
     SMASH_CHECK(agg.requests >= delta.requests &&
                     agg.error_requests >= delta.error_requests &&
-                    agg.active_epochs >= delta.active_epochs &&
+                    agg.active_epochs >= 1 &&
                     window_requests_ >= delta.requests,
                 "WindowAggregates underflow: evicted delta exceeds window");
     agg.requests -= delta.requests;
     agg.error_requests -= delta.error_requests;
-    agg.active_epochs -= delta.active_epochs;
+    agg.active_epochs -= 1;
     window_requests_ -= delta.requests;
     if (agg.empty()) by_2ld_.erase(it);
   }
@@ -195,9 +196,9 @@ IngestResult StreamIngestor::ingest(const RedirectEvent& event) {
 
 void StreamIngestor::close_epoch() {
   if (!started_) return;
-  // Covers the seal (finalize + ShardPre build) and the window/aggregates
-  // rotation — the ingest-side half of an epoch close on the trace
-  // timeline; the mining half is stream.assemble/stream.mine.
+  // Covers the seal (finalize + AggregatedTrace build) and the
+  // window/aggregates rotation — the ingest-side half of an epoch close on
+  // the trace timeline; the mining half is stream.assemble/stream.mine.
   SMASH_SPAN("stream.epoch_seal");
   open_shard_.seal();
   window_.push_back(

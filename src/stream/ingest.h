@@ -16,11 +16,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/preshard.h"
+#include "core/preprocess.h"
 #include "net/http.h"
 #include "net/trace.h"
 #include "stream/stream_config.h"
@@ -61,8 +60,7 @@ struct RedirectEvent {
 
 // --- per-epoch shard ---------------------------------------------------------
 
-// Per-2LD counters; used both as one epoch's delta and as the sliding
-// window's accumulated value.
+// Per-2LD counters accumulated over the sliding window.
 struct ServerWindowStats {
   std::uint64_t requests = 0;
   std::uint64_t error_requests = 0;  // 4xx/5xx
@@ -75,17 +73,17 @@ struct ServerWindowStats {
 
 // One epoch's worth of traffic, parsed exactly once at ingest time. The
 // trace is journaled and finalized when the epoch is sealed; sealing also
-// caches the shard's preprocessed form (core/preshard.h) and derives the
-// per-2LD delta from it, so window slides and re-mines never touch the
-// requests again. A sealed shard is immutable: the window ring and any
-// in-flight mining task share it by shared_ptr.
+// caches the shard's AggregatedTrace (core/preshard.h), which both the
+// window aggregates and every re-mine read, so window slides and re-mines
+// never touch the requests again. A sealed shard is immutable: the window
+// ring and any in-flight mining task share it by shared_ptr.
 class EpochShard {
  public:
   explicit EpochShard(EpochId id = 0);
 
   // Recovery: rebuilds a sealed shard from a deserialized journaled trace,
-  // sealing it exactly as the original seal did (finalize, ShardPre
-  // rebuild, per-2LD delta) — all deterministic functions of the trace.
+  // sealing it exactly as the original seal did (finalize, AggregatedTrace
+  // rebuild) — deterministic functions of the trace.
   static EpochShard restore_sealed(EpochId id, net::Trace trace);
   // Recovery: rebuilds the open (unsealed) shard from its checkpointed
   // trace; WAL-tail replay appends to it.
@@ -96,14 +94,10 @@ class EpochShard {
   std::size_t num_requests() const noexcept { return trace_.num_requests(); }
   bool empty() const noexcept { return trace_.num_requests() == 0; }
 
-  // Per-2LD delta of this epoch (valid after seal).
-  const std::unordered_map<std::string, ServerWindowStats>& per_2ld() const noexcept {
-    return per_2ld_;
-  }
-
-  // Cached preprocessed form (valid after seal); merged across the window
-  // by the mining path instead of re-preprocessing the assembled trace.
-  const core::ShardPre& pre() const noexcept { return pre_; }
+  // Cached AggregatedTrace::build(trace()) (valid after seal): its
+  // profiles are this epoch's per-2LD delta, and the mining path merges it
+  // across the window instead of re-preprocessing the assembled trace.
+  const core::AggregatedTrace& pre() const noexcept { return pre_; }
 
  private:
   friend class StreamIngestor;
@@ -115,8 +109,7 @@ class EpochShard {
 
   EpochId id_ = 0;
   net::Trace trace_;
-  core::ShardPre pre_;
-  std::unordered_map<std::string, ServerWindowStats> per_2ld_;
+  core::AggregatedTrace pre_;
   bool sealed_ = false;
 };
 

@@ -74,6 +74,7 @@ void expect_merge_matches_batch(const stream::StreamIngestor& ingestor,
   const AggregatedTrace& a = merged.pre.agg;
   const AggregatedTrace& b = batch.agg;
   ASSERT_EQ(a.servers().names(), b.servers().names());
+  EXPECT_EQ(a.agg_of(), b.agg_of());
   EXPECT_EQ(a.files().names(), b.files().names());
   EXPECT_EQ(a.redirects(), b.redirects());
   EXPECT_EQ(a.num_servers_before_aggregation(),
@@ -116,13 +117,17 @@ TEST(PreshardMerge, EdgeCaseStreamMatchesBatchExactly) {
   // (both to window servers and referrer-only hosts), cross- and same-2LD
   // redirects with cross-epoch overwrites, error statuses, empty epochs,
   // empty-path files, and 2LDs recurring across epochs under different
-  // subdomains.
+  // subdomains. Referrer-only 2LDs take window ids after every server 2LD,
+  // so the inputs also cover a referrer that becomes a requested server
+  // only in a later epoch and a referrer-only 2LD seen in two epochs.
   stream::StreamIngestor ingestor(small_config(/*epoch_s=*/100, /*window=*/6));
 
   // Epoch 0: basic traffic + referrer to a host never requested.
   ingestor.ingest(req(10, "c1", "a.com", "/x.html"));
   ingestor.ingest(req(20, "c2", "www.a.com", "/x.html", 404));
   ingestor.ingest(req(30, "c1", "b.com", "/", 200, "news.portal.example"));
+  ingestor.ingest(req(35, "c2", "a.com", "/y.html", 200, "later.org"));
+  ingestor.ingest(req(36, "c2", "b.com", "/y.html", 200, "search.twice.io"));
   ingestor.ingest(stream::ResolutionEvent{40, "a.com", "1.1.1.1"});
   ingestor.ingest(stream::RedirectEvent{50, "b.com", "a.com"});
 
@@ -131,12 +136,15 @@ TEST(PreshardMerge, EdgeCaseStreamMatchesBatchExactly) {
   // be skipped, not erased), params, referrer naming a window server.
   ingestor.ingest(req(210, "c3", "cdn.a.com", "/gate.php?id=7&x=1"));
   ingestor.ingest(req(220, "c2", "b.com", "/x.html", 500, "a.com"));
+  ingestor.ingest(req(225, "c3", "b.com", "/", 200, "www.twice.io"));
   ingestor.ingest(stream::RedirectEvent{230, "www.b.com", "b.com"});
   ingestor.ingest(stream::ResolutionEvent{240, "a.com", "2.2.2.2"});
   ingestor.ingest(stream::ResolutionEvent{250, "c.com", "3.3.3.3"});  // no requests
 
-  // Epoch 3: redirect overwrite (b.com now points elsewhere), new server.
+  // Epoch 3: redirect overwrite (b.com now points elsewhere), new server,
+  // and epoch 0's referrer later.org requested for the first time.
   ingestor.ingest(req(310, "c1", "d.net", "/x.html"));
+  ingestor.ingest(req(315, "c4", "www.later.org", "/z.html", 200, "twice.io"));
   ingestor.ingest(stream::RedirectEvent{320, "b.com", "d.net"});
   ingestor.close_epoch();  // seal epoch 3
 

@@ -4,7 +4,8 @@
 // "metrics":{...}} per line). For JSONL the last line gives current
 // values and the first line the baseline, so counter rates fall out of
 // the two timestamps. Histograms print count / mean / bucket-interpolated
-// p50/p95/p99.
+// p50/p95/p99. Exits 1 when any histogram is malformed, after printing
+// everything else.
 //
 // Usage: smash_stats <metrics.json | metrics.jsonl>
 //        smash_stats -          (read a single JSON document from stdin)
@@ -234,7 +235,8 @@ double bucket_quantile(const std::vector<double>& bounds,
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-void print_metrics(const Json& metrics, double window_s,
+// Returns false if any histogram was printed as "(malformed)".
+bool print_metrics(const Json& metrics, double window_s,
                    const Json* baseline) {
   if (const Json* counters = metrics.find("counters");
       counters != nullptr && !counters->object.empty()) {
@@ -259,7 +261,8 @@ void print_metrics(const Json& metrics, double window_s,
     }
   }
   const Json* histograms = metrics.find("histograms");
-  if (histograms == nullptr || histograms->object.empty()) return;
+  if (histograms == nullptr || histograms->object.empty()) return true;
+  bool well_formed = true;
   std::printf("histograms%26s %10s %10s %10s %10s\n", "count", "mean", "p50",
               "p95", "p99");
   for (const auto& [name, hist] : histograms->object) {
@@ -270,6 +273,7 @@ void print_metrics(const Json& metrics, double window_s,
     if (count == nullptr || sum == nullptr || bounds_json == nullptr ||
         counts_json == nullptr) {
       std::printf("  %-34s (malformed)\n", name.c_str());
+      well_formed = false;
       continue;
     }
     std::vector<double> bounds, counts;
@@ -282,6 +286,7 @@ void print_metrics(const Json& metrics, double window_s,
                 bucket_quantile(bounds, counts, 0.95),
                 bucket_quantile(bounds, counts, 0.99));
   }
+  return well_formed;
 }
 
 int run(const std::string& path) {
@@ -318,8 +323,7 @@ int run(const std::string& path) {
   const Json* metrics = last.find("metrics");
   if (metrics == nullptr) {
     // A bare registry dump (metrics.json): no timestamps, no rates.
-    print_metrics(last, 0.0, nullptr);
-    return 0;
+    return print_metrics(last, 0.0, nullptr) ? 0 : 1;
   }
 
   // MetricsLogger JSONL: rate counters across first -> last line.
@@ -337,9 +341,10 @@ int run(const std::string& path) {
   std::printf("%zu samples%s", lines.size(), window_s > 0.0 ? ", " : "\n");
   if (window_s > 0.0) std::printf("%.1f s window\n", window_s);
   if (ts != nullptr) std::printf("last sample at unix_ms %.0f\n", ts->number);
-  print_metrics(*metrics, window_s,
-                lines.size() > 1 ? first.find("metrics") : nullptr);
-  return 0;
+  return print_metrics(*metrics, window_s,
+                       lines.size() > 1 ? first.find("metrics") : nullptr)
+             ? 0
+             : 1;
 }
 
 }  // namespace
