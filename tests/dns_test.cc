@@ -42,7 +42,13 @@ INSTANTIATE_TEST_SUITE_P(
         TwoLdCase{"shop.example.co.uk", "example.co.uk"},
         TwoLdCase{"user.dyndns.org", "user.dyndns.org"},
         TwoLdCase{"10.1.2.3", "10.1.2.3"},            // IP literal unchanged
-        TwoLdCase{"a.b.unknowntld", "b.unknowntld"}));
+        TwoLdCase{"a.b.unknowntld", "b.unknowntld"},
+        // Malformed names: empty labels at the front of the kept part drop
+        // out with their dots, and a name too short to trim stays as it is.
+        TwoLdCase{"x..com", "com"},
+        TwoLdCase{"a.", "a."},
+        TwoLdCase{".com", ".com"},
+        TwoLdCase{"a..b.co.uk", "b.co.uk"}));
 
 TEST(IsIpv4Literal, AcceptsAndRejects) {
   EXPECT_TRUE(is_ipv4_literal("1.2.3.4"));
