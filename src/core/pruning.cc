@@ -27,16 +27,25 @@ std::optional<std::uint32_t> landing_of(const AggregatedTrace& agg,
 }
 
 // The referrer host present on >= `dominance` of the server's requests,
-// if any.
+// if any. Below a dominance of 0.5 several hosts can qualify: the one on
+// the most requests wins, ties going to the lowest 2LD id, so the pick
+// does not depend on the map's iteration order (a batch build and a merge
+// of stream shards insert the hosts in different orders).
 std::optional<std::uint32_t> dominant_referrer(const ServerProfile& profile,
                                                double dominance) {
+  std::optional<std::uint32_t> best;
+  std::uint32_t best_count = 0;
   for (const auto& [host, count] : profile.referrer_counts) {
-    if (static_cast<double>(count) >=
+    if (static_cast<double>(count) <
         dominance * static_cast<double>(profile.requests)) {
-      return host;
+      continue;
+    }
+    if (!best || count > best_count || (count == best_count && host < *best)) {
+      best = host;
+      best_count = count;
     }
   }
-  return std::nullopt;
+  return best;
 }
 
 }  // namespace

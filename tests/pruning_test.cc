@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "test_helpers.h"
 
 namespace smash::core {
@@ -106,6 +109,68 @@ TEST(Pruning, PartialReferrerDominanceDoesNotTrigger) {
   ASSERT_EQ(result.groups.size(), 1u);
   EXPECT_EQ(result.groups[0].size(), 2u);
   EXPECT_EQ(result.stats.referrer_members_replaced, 0u);
+}
+
+TEST(Pruning, TiedDominantReferrersPickTheLowest2ldInEitherInsertOrder) {
+  // member.com carries alpha.com and beta.com as Referer on one request
+  // each. At a dominance of 0.5 both qualify; the pick must not depend on
+  // which was seen first (the referrer map's iteration order does).
+  for (const bool alpha_first : {true, false}) {
+    SCOPED_TRACE(alpha_first ? "alpha first" : "beta first");
+    net::Trace trace;
+    for (const char* c : {"c1", "c2"}) {
+      add_request(trace, c, "alpha.com", "/a.html");
+      add_request(trace, c, "beta.com", "/b.html");
+      add_request(trace, c, "other.com", "/o.js");
+    }
+    add_request(trace, "c1", "member.com", "/m.js", "UA",
+                alpha_first ? "alpha.com" : "beta.com");
+    add_request(trace, "c2", "member.com", "/m.js", "UA",
+                alpha_first ? "beta.com" : "alpha.com");
+    trace.finalize();
+
+    auto config = config_with();
+    config.referrer_dominance = 0.5;
+    const auto pre = preprocess(trace, config);
+    const auto alpha = *pre.agg.servers().find("alpha.com");
+    ASSERT_LT(alpha, *pre.agg.servers().find("beta.com"));
+    const std::vector<std::vector<std::uint32_t>> groups{
+        {kept_index(pre, "member.com"), kept_index(pre, "other.com")}};
+    const auto result = prune(pre, groups, config);
+    ASSERT_EQ(result.groups.size(), 1u);
+    EXPECT_EQ(result.stats.referrer_members_replaced, 1u);
+    std::vector<std::uint32_t> expected{kept_index(pre, "alpha.com"),
+                                        kept_index(pre, "other.com")};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(result.groups[0], expected);
+  }
+}
+
+TEST(Pruning, MoreRequestsWinOverLower2ldId) {
+  // At a dominance of 0.3 both referrers qualify; beta.com refers two of
+  // member's three requests, so it wins although alpha.com's id is lower.
+  net::Trace trace;
+  for (const char* c : {"c1", "c2"}) {
+    add_request(trace, c, "alpha.com", "/a.html");
+    add_request(trace, c, "beta.com", "/b.html");
+    add_request(trace, c, "other.com", "/o.js");
+  }
+  add_request(trace, "c1", "member.com", "/m.js", "UA", "alpha.com");
+  add_request(trace, "c2", "member.com", "/m.js", "UA", "beta.com");
+  add_request(trace, "c1", "member.com", "/n.js", "UA", "beta.com");
+  trace.finalize();
+
+  auto config = config_with();
+  config.referrer_dominance = 0.3;
+  const auto pre = preprocess(trace, config);
+  const std::vector<std::vector<std::uint32_t>> groups{
+      {kept_index(pre, "member.com"), kept_index(pre, "other.com")}};
+  const auto result = prune(pre, groups, config);
+  ASSERT_EQ(result.groups.size(), 1u);
+  std::vector<std::uint32_t> expected{kept_index(pre, "beta.com"),
+                                      kept_index(pre, "other.com")};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(result.groups[0], expected);
 }
 
 TEST(Pruning, RedirectCycleIsLeftAlone) {
