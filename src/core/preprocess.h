@@ -4,6 +4,21 @@
 // merges per-server state; the IDF filter then removes servers contacted
 // by more than `idf_threshold` distinct clients. What remains is the
 // server population the four dimensions operate on.
+//
+// AggregatedTrace::build runs in three phases on `num_threads` threads
+// (inline at 1 thread):
+//   1. parse, in parallel chunks: each hostname's 2LD (a view into the
+//      name, dns::effective_2ld_view) and the interner hashes of the 2LDs
+//      and of every request's URI file;
+//   2. intern: one pool thread interns the URI files in request order,
+//      while the others intern the 2LDs (hostnames in hostname order, then
+//      referrer-only 2LDs in request order), cut the 2LDs into slices of
+//      near-equal request counts and fill every profile field but `files`,
+//      slice by slice, each profile's requests in request order;
+//   3. finish: fill and normalize `files`, slice by slice.
+// Ids and every field, down to the iteration order of the unordered
+// containers, are those of one serial walk over the requests, at any
+// thread count (tests/preprocess_oracle.h holds that walk as the oracle).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +53,11 @@ struct ServerProfile {
 
 class AggregatedTrace {
  public:
-  // Builds profiles for every 2LD server in the trace.
-  static AggregatedTrace build(const net::Trace& trace);
+  // Builds profiles for every 2LD server in the trace, on `num_threads`
+  // threads (0 counts as 1); see the phases above. The result is the same
+  // for every thread count. Transient state: about 24 bytes per request
+  // and 28 per hostname, freed on return.
+  static AggregatedTrace build(const net::Trace& trace, unsigned num_threads = 1);
 
   // Assembles an AggregatedTrace from already-merged parts (the streaming
   // engine's per-epoch shard caches, core/preshard.h). `servers` is the 2LD

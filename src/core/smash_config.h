@@ -70,11 +70,13 @@ struct SmashConfig {
   std::uint32_t param_postings_cap = 1500;
 
   // --- execution ---------------------------------------------------------------
-  // Worker threads for ASH mining (unit: threads; default 1 = fully
-  // serial): dimensions are mined concurrently and the client/file/whois
-  // joins are probe-range sharded across the leftover threads. Results
-  // are identical for any thread count (each dimension is independent and
-  // the sharded join reproduces the serial output exactly).
+  // Worker threads for preprocessing and ASH mining (unit: threads;
+  // default 1 = fully serial): preprocess() builds the AggregatedTrace in
+  // parallel phases, dimensions are mined concurrently and the
+  // client/file/whois joins are probe-range sharded across the leftover
+  // threads. Results are identical for any thread count (the build keeps
+  // a serial walk's ids and insert order, each dimension is independent,
+  // and the sharded join reproduces the serial output exactly).
   unsigned num_threads = 1;
 
   // Upper bound on the resident postings-index memory of any one
@@ -103,7 +105,9 @@ struct SmashConfig {
   // --- pruning (paper §III-D) -------------------------------------------------
   // A server is "referred by" a host if at least this fraction of its
   // requests carry that Referer; a group is a referrer group if every
-  // member shares the same dominant referrer.
+  // member shares the same dominant referrer. At 0.5 or below several
+  // hosts can qualify: the one on the most requests is the dominant
+  // referrer, ties going to the lowest 2LD id.
   double referrer_dominance = 0.8;
 
   // Optional metrics sink (not owned; may be null = no metrics). When

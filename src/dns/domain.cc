@@ -1,9 +1,8 @@
 #include "dns/domain.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
-
-#include "util/strings.h"
 
 namespace smash::dns {
 
@@ -57,35 +56,38 @@ bool is_public_suffix(std::string_view suffix) noexcept {
   return false;
 }
 
+std::string_view effective_2ld_view(std::string_view host) noexcept {
+  if (is_ipv4_literal(host)) return host;
+  constexpr auto npos = std::string_view::npos;
+  // The dot before the label that ends at `dot`, or npos.
+  const auto dot_before = [host](std::size_t dot) {
+    return dot == 0 || dot == npos ? npos : host.rfind('.', dot - 1);
+  };
+
+  // The longest public suffix that is a proper suffix of `host`: a listed
+  // two-label suffix, else the last label (listed or not). `suffix_dot`
+  // is the dot in front of it.
+  const std::size_t last = host.rfind('.');
+  if (last == npos) return host;  // single label
+  const std::size_t second = dot_before(last);
+  const std::string_view two = second == npos ? host : host.substr(second + 1);
+  bool two_is_suffix = false;
+  for (auto s : kMultiLabelSuffixes) {
+    if (s == two) { two_is_suffix = true; break; }
+  }
+  const std::size_t suffix_dot = two_is_suffix ? second : last;
+
+  // Keep the suffix plus one label; a name with no label to drop stays
+  // whole.
+  const std::size_t cut = dot_before(suffix_dot);
+  if (cut == npos) return host;
+  std::string_view kept = host.substr(cut + 1);
+  kept.remove_prefix(std::min(kept.find_first_not_of('.'), kept.size()));
+  return kept;
+}
+
 std::string effective_2ld(std::string_view host) {
-  if (is_ipv4_literal(host)) return std::string(host);
-  const auto labels = util::split(host, '.');
-  if (labels.size() <= 1) return std::string(host);
-
-  // Find the longest public suffix that is a proper suffix of `host`.
-  // We check 2-label suffixes first, then 1-label ones.
-  std::size_t suffix_labels = 0;
-  if (labels.size() >= 2) {
-    const std::string two = std::string(labels[labels.size() - 2]) + "." +
-                            std::string(labels.back());
-    bool two_is_suffix = false;
-    for (auto s : kMultiLabelSuffixes) {
-      if (s == two) { two_is_suffix = true; break; }
-    }
-    if (two_is_suffix) suffix_labels = 2;
-  }
-  if (suffix_labels == 0 && is_public_suffix(labels.back())) suffix_labels = 1;
-  if (suffix_labels == 0) suffix_labels = 1;  // unknown TLD: treat as 1 label
-
-  const std::size_t keep = suffix_labels + 1;
-  if (labels.size() <= keep) return std::string(host);
-
-  std::string out;
-  for (std::size_t i = labels.size() - keep; i < labels.size(); ++i) {
-    if (!out.empty()) out.push_back('.');
-    out.append(labels[i]);
-  }
-  return out;
+  return std::string(effective_2ld_view(host));
 }
 
 bool is_valid_hostname(std::string_view host) noexcept {

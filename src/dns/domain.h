@@ -26,7 +26,15 @@ bool is_public_suffix(std::string_view suffix) noexcept;
 //   cdn.fbcdn.net  -> fbcdn.net
 //   4k0t111m.cz.cc -> 4k0t111m.cz.cc
 //   10.1.2.3       -> 10.1.2.3 (unchanged)
-// A bare public suffix or single label is returned unchanged.
+// A bare public suffix or single label is returned unchanged. Empty labels
+// at the front of the kept part drop out with their dots (x..com -> com).
+//
+// The result is always a suffix of `host`, returned as a view into it: no
+// allocation, so preprocessing can map every hostname and referrer of a
+// day without touching the heap.
+std::string_view effective_2ld_view(std::string_view host) noexcept;
+
+// effective_2ld_view as an owned string.
 std::string effective_2ld(std::string_view host);
 
 // Basic well-formedness: non-empty labels of [a-z0-9-], no leading/trailing

@@ -29,38 +29,26 @@ std::string_view uri_query(std::string_view path) noexcept {
   return q == std::string_view::npos ? std::string_view{} : path.substr(q + 1);
 }
 
-std::vector<std::pair<std::string_view, std::string_view>> query_params(
-    std::string_view path) {
-  std::vector<std::pair<std::string_view, std::string_view>> out;
-  std::string_view query = uri_query(path);
-  std::size_t start = 0;
-  while (start <= query.size() && !query.empty()) {
-    auto amp = query.find('&', start);
-    if (amp == std::string_view::npos) amp = query.size();
-    const std::string_view pair = query.substr(start, amp - start);
-    if (!pair.empty()) {
-      const auto eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        out.emplace_back(pair, std::string_view{});
-      } else {
-        out.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-      }
-    }
-    if (amp == query.size()) break;
-    start = amp + 1;
-  }
+std::string param_pattern(std::string_view path) {
+  std::string out;
+  param_pattern_into(path, out);
   return out;
 }
 
-std::string param_pattern(std::string_view path) {
-  std::string out;
-  for (const auto& [key, value] : query_params(path)) {
-    (void)value;
-    out.append(key);
-    out.append("=&");
+void param_pattern_into(std::string_view path, std::string& out) {
+  out.clear();
+  const std::string_view query = uri_query(path);
+  for (std::size_t start = 0; start < query.size();) {
+    std::size_t amp = query.find('&', start);
+    if (amp == std::string_view::npos) amp = query.size();
+    const std::string_view pair = query.substr(start, amp - start);
+    if (!pair.empty()) {
+      out.append(pair.substr(0, pair.find('=')));  // the key
+      out.append("=&");
+    }
+    start = amp + 1;
   }
   if (!out.empty()) out.pop_back();  // drop trailing '&'
-  return out;
 }
 
 bool is_redirect_status(std::uint16_t status) noexcept {

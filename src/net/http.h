@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace smash::net {
 
@@ -41,14 +39,14 @@ std::string_view uri_path_only(std::string_view path) noexcept;
 // Query string after '?', or empty.
 std::string_view uri_query(std::string_view path) noexcept;
 
-// Parse the query into (key, value) pairs in order of appearance.
-std::vector<std::pair<std::string_view, std::string_view>> query_params(
-    std::string_view path);
-
 // Parameter *pattern*: the ordered keys with values blanked, e.g.
 // "/x.php?p=16435&id=217&e=0" -> "p=&id=&e=".  §V-A2 uses shared parameter
 // patterns to confirm "New Servers" against IDS-confirmed ones.
 std::string param_pattern(std::string_view path);
+
+// param_pattern(path) written into `out`, reusing its storage: no
+// allocation once `out` has grown to the longest pattern.
+void param_pattern_into(std::string_view path, std::string& out);
 
 // True for 301/302/303/307/308.
 bool is_redirect_status(std::uint16_t status) noexcept;

@@ -25,9 +25,13 @@ class Interner {
  public:
   // Returns the id for `s`, inserting it if new. Ids are assigned densely
   // in insertion order starting at 0.
-  std::uint32_t intern(std::string_view s) {
+  std::uint32_t intern(std::string_view s) { return intern(s, hash(s)); }
+
+  // intern(s) for a caller that already holds `h == hash(s)`, e.g. from a
+  // parallel pass over the inputs. Same ids as intern(s).
+  std::uint32_t intern(std::string_view s, std::size_t h) {
     if (2 * (strings_.size() + 1) > slots_.size()) grow();
-    std::uint32_t& slot = slots_[probe(s)];
+    std::uint32_t& slot = slots_[probe(s, h)];
     if (slot != 0) return slot - 1;
     const auto id = static_cast<std::uint32_t>(strings_.size());
     strings_.emplace_back(s);
@@ -35,10 +39,25 @@ class Interner {
     return id;
   }
 
+  // Sizes the table and the name list for `n` names, so interning up to
+  // `n` names neither rehashes nor moves a name. Ids are unaffected.
+  void reserve(std::size_t n) {
+    strings_.reserve(n);
+    std::size_t slots = 16;
+    while (slots < 2 * (n + 1)) slots *= 2;
+    if (slots > slots_.size()) rebuild(slots);
+  }
+
+  // Starts pulling the table slot of a name with hash `h` into the cache,
+  // for a caller that interns or finds that name a little later.
+  void prefetch(std::size_t h) const noexcept {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[h & (slots_.size() - 1)]);
+  }
+
   // Lookup without insertion.
   std::optional<std::uint32_t> find(std::string_view s) const {
     if (slots_.empty()) return std::nullopt;
-    const std::uint32_t slot = slots_[probe(s)];
+    const std::uint32_t slot = slots_[probe(s, hash(s))];
     if (slot == 0) return std::nullopt;
     return slot - 1;
   }
@@ -56,25 +75,30 @@ class Interner {
 
   const std::vector<std::string>& names() const noexcept { return strings_; }
 
- private:
+  // The hash the table is keyed by.
   static std::size_t hash(std::string_view s) noexcept {
     return std::hash<std::string_view>{}(s);
   }
 
-  // Index of the slot holding `s`, or of the empty slot that ends its
-  // probe chain. The table is never full, so the walk terminates.
-  std::size_t probe(std::string_view s) const {
+ private:
+  // Index of the slot holding `s` (whose hash is `h`), or of the empty slot
+  // that ends its probe chain. The table is never full, so the walk
+  // terminates.
+  std::size_t probe(std::string_view s, std::size_t h) const {
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(s) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
       const std::uint32_t slot = slots_[i];
       if (slot == 0 || strings_[slot - 1] == s) return i;
     }
   }
 
-  // Doubles the table (power of two, at least 16 slots) and reinserts
-  // every id in id order.
-  void grow() {
-    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+  // Doubles the table (power of two, at least 16 slots).
+  void grow() { rebuild(slots_.empty() ? 16 : 2 * slots_.size()); }
+
+  // Rebuilds the table at `slots` (a power of two), reinserting every id
+  // in id order.
+  void rebuild(std::size_t slots) {
+    slots_.assign(slots, 0);
     const std::size_t mask = slots_.size() - 1;
     for (std::uint32_t id = 0; id < strings_.size(); ++id) {
       std::size_t i = hash(strings_[id]) & mask;

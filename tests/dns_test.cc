@@ -7,6 +7,8 @@
 #include "core/file_classifier.h"
 #include "dns/dga.h"
 #include "dns/domain.h"
+#include "preprocess_oracle.h"
+#include "util/rng.h"
 
 namespace smash::dns {
 namespace {
@@ -49,6 +51,35 @@ INSTANTIATE_TEST_SUITE_P(
         TwoLdCase{"a.", "a."},
         TwoLdCase{".com", ".com"},
         TwoLdCase{"a..b.co.uk", "b.co.uk"}));
+
+TEST_P(Effective2ldTest, ViewMatchesOwnedString) {
+  const std::string& host = GetParam().host;
+  const std::string_view view = effective_2ld_view(host);
+  EXPECT_EQ(view, GetParam().expected);
+  // A suffix of the host itself, not a copy.
+  EXPECT_EQ(view.data() + view.size(), host.data() + host.size());
+}
+
+// effective_2ld_view against the split-and-join oracle on seeded random
+// names built from labels that hit every branch: listed one- and two-label
+// suffixes, unknown TLDs, empty labels (leading, trailing, doubled dots),
+// and dotted quads.
+TEST(Effective2ldView, SeededRandomHostsMatchReference) {
+  util::Rng rng(20150706);
+  const std::vector<std::string> labels = {
+      "",    "",  "a",  "xyz", "www",  "com",     "co",       "uk", "cz",
+      "cc",  "org", "dyndns", "blogspot", "no-ip", "10", "255", "256", "1"};
+  for (int i = 0; i < 20000; ++i) {
+    std::string host;
+    const auto n = rng.uniform(6);  // 0 labels = the empty name
+    for (std::uint64_t k = 0; k < n; ++k) {
+      if (k > 0) host += '.';
+      host += labels[rng.uniform(labels.size())];
+    }
+    ASSERT_EQ(effective_2ld_view(host), test::effective_2ld_reference(host)) << host;
+    ASSERT_EQ(effective_2ld(host), test::effective_2ld_reference(host)) << host;
+  }
+}
 
 TEST(IsIpv4Literal, AcceptsAndRejects) {
   EXPECT_TRUE(is_ipv4_literal("1.2.3.4"));

@@ -41,6 +41,7 @@ namespace {
 using test::add_request;
 using test::expect_identical_snapshots;
 using test::fuzz_seeds;
+using test::random_matrix_scenario;
 using test::random_schedule;
 using test::resolve;
 using test::schedule_config;
@@ -323,63 +324,9 @@ TEST(FuzzStreamEquivalence, FinalSyncSnapshotMatchesBatchMineOfWindow) {
 // checking every publication of the engine (cached per-epoch
 // preprocessing, core/preshard.h) against a batch oracle — SmashPipeline::run
 // over the assembled window — extends the byte-identical-snapshot
-// contract to those shapes. Picked up by the nightly 500-seed sweep via
-// the *Fuzz* filter.
-
-synth::Scenario random_matrix_scenario(std::uint64_t seed) {
-  util::Rng rng(seed ^ 0x5ce7a210ULL);
-  const std::uint64_t duration =
-      (6 + rng.uniform(5)) * test::kFuzzEpochSeconds;
-  synth::ScenarioBuilder builder("fuzz-scenario", seed, duration);
-  const bool cloud = rng.bernoulli(0.5);
-  if (cloud) {
-    builder.enable_cloud_pool(4 + static_cast<std::uint32_t>(rng.uniform(6)));
-  }
-
-  synth::BenignSpec benign;
-  benign.servers = 20 + static_cast<std::uint32_t>(rng.uniform(25));
-  benign.clients = 15 + static_cast<std::uint32_t>(rng.uniform(20));
-  benign.visits = 250 + static_cast<std::uint32_t>(rng.uniform(350));
-  benign.arrival =
-      rng.bernoulli(0.5) ? synth::Arrival::kDiurnal : synth::Arrival::kUniform;
-  benign.cloud_fraction = cloud ? 0.3 : 0.0;
-  builder.add_benign_background(benign);
-
-  if (rng.bernoulli(0.3)) builder.add_popular_head(1, 80);
-  if (rng.bernoulli(0.4)) {
-    synth::FlashCrowdSpec crowd;
-    crowd.servers = 3 + static_cast<std::uint32_t>(rng.uniform(3));
-    // Below the idf_threshold of scenario_stream_config, or the spike is
-    // filtered before it pressures anything.
-    crowd.clients = 25 + static_cast<std::uint32_t>(rng.uniform(15));
-    crowd.start_s = rng.uniform(duration);
-    crowd.duration_s = test::kFuzzEpochSeconds * (1 + rng.uniform(2));
-    builder.add_flash_crowd(crowd);
-  }
-
-  const std::uint64_t campaigns = rng.uniform(3);  // 0..2 (0 = benign-only)
-  for (std::uint64_t k = 0; k < campaigns; ++k) {
-    synth::CampaignSpec campaign;
-    campaign.label = "fz" + std::to_string(k);
-    campaign.servers = 2 + static_cast<std::uint32_t>(rng.uniform(5));
-    campaign.bots = 2 + static_cast<std::uint32_t>(rng.uniform(4));
-    campaign.start_s = rng.uniform(duration);
-    // May land past the stream end: the builder clamps (or drops) it.
-    campaign.end_s = campaign.start_s + 1 + rng.uniform(duration);
-    campaign.poll_interval_s =
-        120 + static_cast<std::uint32_t>(rng.uniform(600));
-    campaign.request_jitter_s = rng.uniform(campaign.poll_interval_s);
-    if (rng.bernoulli(0.3)) {
-      campaign.naming = synth::CampaignSpec::Naming::kDga;
-    }
-    campaign.shared_filename = rng.bernoulli(0.7);
-    campaign.shared_ips = rng.bernoulli(0.7);
-    campaign.shared_whois = rng.bernoulli(0.5);
-    campaign.cloud_fronted = cloud && rng.bernoulli(0.3);
-    builder.add_campaign(campaign);
-  }
-  return std::move(builder).build();
-}
+// contract to those shapes (the scenarios come from
+// test::random_matrix_scenario). Picked up by the nightly 500-seed sweep
+// via the *Fuzz* filter.
 
 stream::StreamConfig scenario_stream_config(std::uint64_t seed) {
   stream::StreamConfig config;

@@ -4,6 +4,10 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
+
+#include "preprocess_oracle.h"
+#include "util/rng.h"
 
 namespace smash::net {
 namespace {
@@ -50,7 +54,7 @@ TEST(UriQuery, ExtractsAfterQuestionMark) {
 }
 
 TEST(QueryParams, ParsesPairsInOrder) {
-  const auto params = query_params("/x.php?p=16435&id=21799517&e=0");
+  const auto params = test::query_params("/x.php?p=16435&id=21799517&e=0");
   ASSERT_EQ(params.size(), 3u);
   EXPECT_EQ(params[0].first, "p");
   EXPECT_EQ(params[0].second, "16435");
@@ -60,7 +64,7 @@ TEST(QueryParams, ParsesPairsInOrder) {
 }
 
 TEST(QueryParams, HandlesValuelessKeysAndEmpties) {
-  const auto params = query_params("/x?flag&a=1&&b=");
+  const auto params = test::query_params("/x?flag&a=1&&b=");
   ASSERT_EQ(params.size(), 3u);
   EXPECT_EQ(params[0].first, "flag");
   EXPECT_EQ(params[0].second, "");
@@ -77,6 +81,23 @@ TEST(ParamPattern, BlanksValues) {
 
 TEST(ParamPattern, OrderSensitive) {
   EXPECT_NE(param_pattern("/x?a=1&b=2"), param_pattern("/x?b=2&a=1"));
+}
+
+TEST(ParamPattern, IntoReusedBufferMatchesReferenceOnRandomPaths) {
+  // Paths from a small alphabet of query pieces: empty pairs, valueless
+  // keys, doubled separators, '=' inside values, '?' with nothing after.
+  util::Rng rng(74);
+  const std::vector<std::string> pieces = {"", "a", "id", "=", "1", "&", "&&", "p=", "=x"};
+  std::string buffer = "left over from an earlier call";
+  for (int i = 0; i < 5000; ++i) {
+    std::string path = "/d/f.php";
+    if (rng.bernoulli(0.8)) path += '?';
+    const auto n = rng.uniform(6);
+    for (std::uint64_t k = 0; k < n; ++k) path += pieces[rng.uniform(pieces.size())];
+    param_pattern_into(path, buffer);
+    ASSERT_EQ(buffer, test::param_pattern_reference(path)) << path;
+    ASSERT_EQ(param_pattern(path), buffer) << path;
+  }
 }
 
 TEST(StatusHelpers, RedirectAndError) {

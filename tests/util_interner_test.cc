@@ -186,6 +186,41 @@ TEST(Interner, SameLow32HashBitsStillDistinct) {
   expect_agrees(interner, ref);  // both survive growths, in their own slots
 }
 
+TEST(Interner, PrecomputedHashGivesSameIdsAsPlainIntern) {
+  // One interner fed through intern(s), one through intern(s, hash(s)) and
+  // one reserved for a third of the names up front, all against the
+  // reference, through every table growth and with hits and misses
+  // interleaved.
+  Rng rng(35);
+  Interner plain;
+  Interner hashed;
+  Interner reserved;
+  reserved.reserve(500);
+  Reference ref;
+  std::vector<std::string> pool;
+  for (int i = 0; i < 1500; ++i) pool.push_back(random_string(rng, 20));
+  for (const auto& s : colliding_strings(40)) pool.push_back(s);
+  for (int step = 0; step < 4000; ++step) {
+    const std::string& s = pool[rng.uniform(pool.size())];
+    ASSERT_EQ(hashed.find(s), reference_find(ref, s));
+    const auto expected =
+        ref.emplace(s, static_cast<std::uint32_t>(ref.size())).first->second;
+    ASSERT_EQ(hashed.intern(s, Interner::hash(s)), expected);
+    ASSERT_EQ(plain.intern(s), expected);
+    ASSERT_EQ(reserved.intern(s, Interner::hash(s)), expected);
+    ASSERT_EQ(hashed.find(s), expected);
+    if (step % 97 == 0) {
+      expect_agrees(hashed, ref);
+      expect_agrees(reserved, ref);
+    }
+  }
+  expect_agrees(hashed, ref);
+  expect_agrees(reserved, ref);
+  EXPECT_EQ(hashed.names(), plain.names());
+  EXPECT_EQ(Interner::hash("file.php"),
+            std::hash<std::string_view>{}(std::string_view("file.php")));
+}
+
 TEST(Interner, CopiedAndMovedInternersStayIndependentAndUsable) {
   Rng rng(3);
   Interner original;
