@@ -6,7 +6,6 @@
 #include <chrono>
 
 #include "core/file_classifier.h"
-#include "graph/components.h"
 #include "graph/louvain.h"
 #include "graph/similarity_join.h"
 #include "obs/metrics.h"

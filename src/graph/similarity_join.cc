@@ -272,8 +272,10 @@ std::vector<CooccurrencePair> cooccurrence_join_sharded(
   probe_shards = static_cast<unsigned>(std::min<std::size_t>(
       probe_shards, std::max<std::size_t>(n / kMinItemsPerShard, 1)));
 
+  // parallel_for drains on the calling thread too, so size the pool one
+  // short of the shard count (mirrors core/dimensions.cc).
   std::optional<util::ThreadPool> pool;
-  if (probe_shards > 1) pool.emplace(probe_shards);
+  if (probe_shards > 1) pool.emplace(probe_shards - 1);
 
   // Probe scratch is allocated once and reused across passes
   // (count_probe_range restores counts to all-zero on exit).

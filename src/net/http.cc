@@ -19,11 +19,6 @@ std::string_view uri_file(std::string_view path) noexcept {
   return no_query.substr(slash + 1);
 }
 
-std::string_view uri_path_only(std::string_view path) noexcept {
-  const auto q = path.find('?');
-  return q == std::string_view::npos ? path : path.substr(0, q);
-}
-
 std::string_view uri_query(std::string_view path) noexcept {
   const auto q = path.find('?');
   return q == std::string_view::npos ? std::string_view{} : path.substr(q + 1);

@@ -33,9 +33,6 @@ struct HttpRequest {
 // uri_file("/images/news.php?p=1") == "news.php"; uri_file("/") == "".
 std::string_view uri_file(std::string_view path) noexcept;
 
-// Path with the query string removed.
-std::string_view uri_path_only(std::string_view path) noexcept;
-
 // Query string after '?', or empty.
 std::string_view uri_query(std::string_view path) noexcept;
 

@@ -22,7 +22,7 @@ MetricsLogger::~MetricsLogger() {
   }
   cv_.notify_all();
   thread_.join();
-  write_line();  // final snapshot: short-lived engines still leave one line
+  write_block();  // final snapshot: short-lived engines still leave one block
 }
 
 void MetricsLogger::loop() {
@@ -30,30 +30,30 @@ void MetricsLogger::loop() {
   for (;;) {
     if (cv_.wait_for(lock, interval_, [this] { return stop_; })) return;
     lock.unlock();
-    write_line();
+    write_block();
     lock.lock();
   }
 }
 
-void MetricsLogger::write_line() {
+void MetricsLogger::write_block() {
   const auto ts_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                          std::chrono::system_clock::now().time_since_epoch())
                          .count();
   // Render outside the lock: snapshotting sums every shard and must not
   // serialize against the interval thread's wakeup.
-  const std::string metrics = registry_->render_json();
+  const std::string metrics = registry_->render_prometheus();
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!out_.is_open()) return;
-  out_ << "{\"ts_unix_ms\":" << ts_ms << ",\"metrics\":" << metrics << "}\n";
+  out_ << "# ts_unix_ms " << ts_ms << "\n" << metrics;
   out_.flush();
-  ++lines_;
+  ++blocks_;
 }
 
-void MetricsLogger::flush_now() { write_line(); }
+void MetricsLogger::flush_now() { write_block(); }
 
-std::uint64_t MetricsLogger::lines_written() const noexcept {
+std::uint64_t MetricsLogger::blocks_written() const noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return lines_;
+  return blocks_;
 }
 
 }  // namespace smash::obs

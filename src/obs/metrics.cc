@@ -34,27 +34,6 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace
 
 std::size_t metric_shard_index() noexcept {
@@ -141,7 +120,7 @@ const HistogramSnapshot* MetricsSnapshot::histogram(std::string_view name) const
   return find_by_name(histograms, name);
 }
 
-// --- exporters ---------------------------------------------------------------
+// --- exporter ----------------------------------------------------------------
 
 std::string render_prometheus(const MetricsSnapshot& snapshot) {
   // The per-kind vectors are each name-sorted; merge them into one
@@ -195,43 +174,6 @@ std::string render_prometheus(const MetricsSnapshot& snapshot) {
       out += pname + "_count " + std::to_string(h.count) + "\n";
     }
   }
-  return out;
-}
-
-std::string render_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"counters\":{";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    append_json_string(out, snapshot.counters[i].name);
-    out.push_back(':');
-    out += std::to_string(snapshot.counters[i].value);
-  }
-  out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    append_json_string(out, snapshot.gauges[i].name);
-    out.push_back(':');
-    out += format_double(snapshot.gauges[i].value);
-  }
-  out += "},\"histograms\":{";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& h = snapshot.histograms[i];
-    if (i > 0) out.push_back(',');
-    append_json_string(out, h.name);
-    out += ":{\"bounds\":[";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      if (b > 0) out.push_back(',');
-      out += format_double(h.bounds[b]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t b = 0; b < h.counts.size(); ++b) {
-      if (b > 0) out.push_back(',');
-      out += std::to_string(h.counts[b]);
-    }
-    out += "],\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + format_double(h.sum) + "}";
-  }
-  out += "}}";
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Runtime metrics registry: process-wide (or per-engine) named counters,
 // gauges, and fixed-bucket latency histograms with near-free hot-path
-// updates, plus Prometheus text-exposition and single-line JSON exporters.
+// updates, plus the Prometheus text-exposition exporter.
 //
 // Design (docs/OBSERVABILITY.md):
 //  - Hot path: counter/histogram updates are relaxed atomic increments on
@@ -174,10 +174,9 @@ struct MetricsSnapshot {
 };
 
 // Prometheus text exposition format (one HELP/TYPE block per metric,
-// cumulative `le` buckets, names prefixed "smash_" and sanitized).
+// cumulative `le` buckets, names prefixed "smash_" and sanitized). The
+// registry's only export format.
 std::string render_prometheus(const MetricsSnapshot& snapshot);
-// Single-line JSON object (JSONL-friendly; canonical dotted names).
-std::string render_json(const MetricsSnapshot& snapshot);
 
 // --- registry ----------------------------------------------------------------
 
@@ -219,7 +218,6 @@ class Registry {
 
   MetricsSnapshot snapshot() const;
   std::string render_prometheus() const { return obs::render_prometheus(snapshot()); }
-  std::string render_json() const { return obs::render_json(snapshot()); }
 
  private:
   enum class Kind : std::uint8_t { kCounter, kGauge, kCallbackGauge, kHistogram };

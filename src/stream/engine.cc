@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -26,19 +25,9 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-durability::FsyncPolicy fsync_policy_of(const StreamConfig& config) {
-  // WalFsync mirrors durability::FsyncPolicy value-for-value so
-  // stream_config.h can stay a leaf header.
-  return static_cast<durability::FsyncPolicy>(config.fsync_policy);
-}
-
 }  // namespace
 
 std::shared_ptr<obs::Registry> StreamEngine::init_metrics() {
-  if (!config_.metrics_enabled) {
-    config_.smash.metrics = nullptr;
-    return nullptr;
-  }
   auto reg = config_.metrics ? config_.metrics
                              : std::make_shared<obs::Registry>();
   config_.smash.metrics = reg.get();
@@ -46,7 +35,6 @@ std::shared_ptr<obs::Registry> StreamEngine::init_metrics() {
 }
 
 void StreamEngine::bind_metrics() {
-  if (!metrics_registry_) return;
   auto& r = *metrics_registry_;
   metrics_.events = &r.counter("stream.events_total", "events ingested");
   metrics_.epoch_closes =
@@ -81,7 +69,7 @@ void StreamEngine::bind_metrics() {
       "ms since the last snapshot publish (-1 before the first)");
   if (!config_.metrics_dir.empty()) {
     metrics_logger_ = std::make_unique<obs::MetricsLogger>(
-        metrics_registry_, config_.metrics_dir + "/metrics.jsonl",
+        metrics_registry_, config_.metrics_dir + "/metrics.prom",
         std::chrono::milliseconds(config_.metrics_interval_ms));
   }
 }
@@ -96,7 +84,7 @@ StreamEngine::StreamEngine(StreamConfig config, const whois::Registry& registry)
                 "StreamEngine: durability_dir already holds WAL/checkpoint "
                 "state; use StreamEngine::recover()");
     journal_ = std::make_unique<durability::DurableJournal>(
-        config_.durability_dir, fsync_policy_of(config_));
+        config_.durability_dir, config_.fsync_policy);
     journal_->set_metrics(metrics_registry_.get());
   }
 }
@@ -123,10 +111,10 @@ StreamEngine::~StreamEngine() {
   } catch (...) {
     std::fprintf(stderr, "StreamEngine: mine failed at teardown\n");
   }
-  // Final metrics line, then detach the snapshot-age provider before the
+  // Final metrics block, then detach the snapshot-age provider before the
   // members it reads die (the registry may be shared and outlive us).
   metrics_logger_.reset();
-  if (metrics_registry_) metrics_registry_->remove("stream.snapshot_age_ms");
+  metrics_registry_->remove("stream.snapshot_age_ms");
 }
 
 void StreamEngine::ingest(const RequestEvent& event) {
@@ -134,7 +122,7 @@ void StreamEngine::ingest(const RequestEvent& event) {
   // per event), so the ingest span is 1/1024-sampled; the events counter
   // still counts every event.
   obs::Span span(++ingest_sample_ % 1024 == 1 ? "stream.ingest" : nullptr);
-  if (metrics_.events != nullptr) metrics_.events->inc();
+  metrics_.events->inc();
   durable_prepare(event.time_s);
   if (journal_) journal_->append(event);
   on_epochs_closed(ingestor_.ingest(event).epochs_closed);
@@ -142,7 +130,7 @@ void StreamEngine::ingest(const RequestEvent& event) {
 
 void StreamEngine::ingest(const ResolutionEvent& event) {
   obs::Span span(++ingest_sample_ % 1024 == 1 ? "stream.ingest" : nullptr);
-  if (metrics_.events != nullptr) metrics_.events->inc();
+  metrics_.events->inc();
   durable_prepare(event.time_s);
   if (journal_) journal_->append(event);
   on_epochs_closed(ingestor_.ingest(event).epochs_closed);
@@ -150,7 +138,7 @@ void StreamEngine::ingest(const ResolutionEvent& event) {
 
 void StreamEngine::ingest(const RedirectEvent& event) {
   obs::Span span(++ingest_sample_ % 1024 == 1 ? "stream.ingest" : nullptr);
-  if (metrics_.events != nullptr) metrics_.events->inc();
+  metrics_.events->inc();
   durable_prepare(event.time_s);
   if (journal_) journal_->append(event);
   on_epochs_closed(ingestor_.ingest(event).epochs_closed);
@@ -187,7 +175,7 @@ void StreamEngine::wait_for_mining() {
 
 void StreamEngine::on_epochs_closed(std::uint32_t closed) {
   if (closed == 0) return;
-  if (metrics_.epoch_closes != nullptr) metrics_.epoch_closes->inc(closed);
+  metrics_.epoch_closes->inc(closed);
   closes_total_ += closed;
   maybe_checkpoint(closed);
   if (ingestor_.window().empty()) return;
@@ -245,16 +233,14 @@ void StreamEngine::submit_or_coalesce() {
       // sees the latest window, and sequence accounting records the skip.
       if (pending_) {
         windows_coalesced_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_.windows_coalesced != nullptr) {
-          metrics_.windows_coalesced->inc();
-        }
+        metrics_.windows_coalesced->inc();
       }
       pending_ = std::move(job);
-      if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(2.0);
+      metrics_.mine_queue_depth->set(2.0);
       return;
     }
     mine_in_flight_ = true;
-    if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(1.0);
+    metrics_.mine_queue_depth->set(1.0);
   }
   miner_.submit(
       [this, job = std::move(job)]() mutable { mining_loop(std::move(job)); });
@@ -272,7 +258,7 @@ void StreamEngine::mining_loop(MiningJob job) {
       mine_error_ = std::current_exception();
       pending_.reset();
       mine_in_flight_ = false;
-      if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(0.0);
+      metrics_.mine_queue_depth->set(0.0);
       mine_cv_.notify_all();
       return;
     }
@@ -280,11 +266,11 @@ void StreamEngine::mining_loop(MiningJob job) {
     if (pending_) {
       job = std::move(*pending_);
       pending_.reset();
-      if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(1.0);
+      metrics_.mine_queue_depth->set(1.0);
       continue;
     }
     mine_in_flight_ = false;
-    if (metrics_.mine_queue_depth != nullptr) metrics_.mine_queue_depth->set(0.0);
+    metrics_.mine_queue_depth->set(0.0);
     mine_cv_.notify_all();
     return;
   }
@@ -297,9 +283,7 @@ void StreamEngine::mine_and_publish(const MiningJob& job) {
   record.window_epochs = static_cast<std::uint32_t>(shards.size());
   // Time from epoch close to mine start: the hand-off to the mining
   // thread, plus any wait behind an in-flight mine.
-  if (metrics_.mine_queue_wait_ms != nullptr) {
-    metrics_.mine_queue_wait_ms->observe(ms_since(job.closed_at));
-  }
+  metrics_.mine_queue_wait_ms->observe(ms_since(job.closed_at));
 
   // Per-2LD stats rebuilt from the captured immutable shards, so the
   // mining thread never touches mutable ingest state.
@@ -326,10 +310,6 @@ void StreamEngine::mine_and_publish(const MiningJob& job) {
   }
   record.mine_ms = ms_since(mine_start);
 
-  if (config_.mine_throttle_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.mine_throttle_ms));
-  }
   if (config_.mine_test_hook) config_.mine_test_hook();
 
   const auto snapshot_start = std::chrono::steady_clock::now();
@@ -351,13 +331,11 @@ void StreamEngine::mine_and_publish(const MiningJob& job) {
           std::chrono::steady_clock::now().time_since_epoch())
           .count(),
       std::memory_order_relaxed);
-  if (metrics_.snapshots != nullptr) {
-    metrics_.snapshots->inc();
-    metrics_.assemble_ms->observe(record.assemble_ms);
-    metrics_.mine_ms->observe(record.mine_ms);
-    metrics_.snapshot_build_ms->observe(record.snapshot_ms);
-    metrics_.close_to_publish_ms->observe(record.total_ms);
-  }
+  metrics_.snapshots->inc();
+  metrics_.assemble_ms->observe(record.assemble_ms);
+  metrics_.mine_ms->observe(record.mine_ms);
+  metrics_.snapshot_build_ms->observe(record.snapshot_ms);
+  metrics_.close_to_publish_ms->observe(record.total_ms);
 
   {
     const std::lock_guard<std::mutex> lock(records_mutex_);
@@ -484,7 +462,7 @@ std::unique_ptr<StreamEngine> StreamEngine::recover(
             },
             record);
       },
-      fsync_policy_of(config));
+      config.fsync_policy);
   rstats.segments_scanned = replay.segments_scanned;
   rstats.records_replayed = replay.records_replayed;
   rstats.events_replayed = replay.events_replayed;
@@ -492,7 +470,7 @@ std::unique_ptr<StreamEngine> StreamEngine::recover(
   rstats.bytes_truncated = replay.bytes_truncated;
 
   auto journal = std::make_unique<durability::DurableJournal>(
-      dir, fsync_policy_of(config),
+      dir, config.fsync_policy,
       durability::WalPosition{replay.next_segment, replay.next_offset},
       records_logged + replay.records_replayed, std::move(dir_lock));
 

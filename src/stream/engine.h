@@ -168,9 +168,8 @@ class StreamEngine {
 
   // The engine's metrics registry (docs/OBSERVABILITY.md has the catalog):
   // the one from StreamConfig::metrics, or the engine-private registry
-  // created when that was null. Null when config.metrics_enabled is false.
-  // Callable from any thread; render via registry->render_prometheus() /
-  // render_json().
+  // created when that was null. Never null. Callable from any thread;
+  // render via registry->render_prometheus().
   std::shared_ptr<obs::Registry> metrics() const noexcept {
     return metrics_registry_;
   }
@@ -213,8 +212,8 @@ class StreamEngine {
     std::chrono::steady_clock::time_point closed_at{};
   };
 
-  // Resolves the metrics registry from config_ (shared, private, or null
-  // per StreamConfig::metrics_enabled/metrics) and points
+  // Resolves the metrics registry from config_ (the shared one, or a
+  // private one when StreamConfig::metrics is null) and points
   // config_.smash.metrics at it so pipeline re-mines record into the same
   // surface. Runs in the member-initializer list, before pipeline_.
   std::shared_ptr<obs::Registry> init_metrics();
@@ -222,9 +221,8 @@ class StreamEngine {
   // callback gauge; starts the MetricsLogger when metrics_dir is set.
   void bind_metrics();
 
-  // Raw handles into metrics_registry_ (all null when metrics are off) so
-  // the hot paths pay one null check + relaxed increment, never a name
-  // lookup. The registry owns the metrics; references stay valid for its
+  // Raw handles into metrics_registry_, set by bind_metrics(), so the hot
+  // paths pay one relaxed increment, never a name lookup. The registry owns the metrics; references stay valid for its
   // lifetime.
   struct MetricHandles {
     obs::Counter* events = nullptr;
@@ -296,8 +294,9 @@ class StreamEngine {
   // Exception that escaped a mine, rethrown by wait_for_mining() on the
   // writer thread. Guarded by mine_mutex_.
   std::exception_ptr mine_error_;
-  // Periodic JSONL metrics writer (null unless metrics_dir is set). Holds
-  // a shared_ptr to the registry, so member order is not load-bearing.
+  // Periodic Prometheus-text metrics writer (null unless metrics_dir is
+  // set). Holds a shared_ptr to the registry, so member order is not
+  // load-bearing.
   std::unique_ptr<obs::MetricsLogger> metrics_logger_;
   // Single-thread pool running mining_loop; last member so it is destroyed
   // (joined) before any state the loop touches.

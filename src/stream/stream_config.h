@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/smash_config.h"
+#include "durability/options.h"
 
 namespace smash::obs {
 class Registry;
@@ -22,13 +23,9 @@ namespace smash::stream {
 // Epoch index: event time in seconds divided by StreamConfig::epoch_seconds.
 using EpochId = std::uint64_t;
 
-// When to fsync the write-ahead log (mirrors durability::FsyncPolicy —
-// kept integer-compatible; stream_config.h stays a leaf header).
-enum class WalFsync : std::uint8_t {
-  kOff = 0,          // page cache only: fastest, loses the OS-buffered tail
-  kOnSeal = 1,       // fsync at each epoch seal: bounded loss of one epoch
-  kEveryRecord = 2,  // fsync per event: no acked event ever lost
-};
+// When to fsync the write-ahead log (durability/options.h documents each
+// policy).
+using WalFsync = durability::FsyncPolicy;
 
 // How a StreamEngine::recover() run rebuilt its state; carried on every
 // DetectionSnapshot the recovered engine publishes (zeroed for engines that
@@ -78,16 +75,12 @@ struct StreamConfig {
   // it; when true ingest() returns immediately.
   bool async_mining = false;
 
-  // Test/bench hook: artificial delay (unit: milliseconds; default 0 =
-  // none) per mine, before snapshot build, used to force epoch closes to
-  // pile up behind an in-flight mine so coalescing is deterministic in
-  // tests. Leave 0 in production.
-  std::uint32_t mine_throttle_ms = 0;
-
-  // Test hook: invoked once per mine at the throttle point (after mining,
-  // before snapshot build). An exception it throws takes the mine-failure
-  // path: the engine stays drainable and finish()/wait_for_mining() rethrow
-  // the error on the writer thread. Leave null in production.
+  // Test hook: invoked once per mine on the mining thread, after mining
+  // and before snapshot build. A hook that sleeps forces epoch closes to
+  // pile up behind the in-flight mine, so coalescing is deterministic in
+  // tests. An exception it throws takes the mine-failure path: the engine
+  // stays drainable and finish()/wait_for_mining() rethrow the error on
+  // the writer thread. Leave null in production.
   std::function<void()> mine_test_hook;
 
   // Test hook: invoked inside DetectionSnapshot::build, after the header
@@ -118,24 +111,19 @@ struct StreamConfig {
 
   // --- observability ---------------------------------------------------------
 
-  // Master switch for the engine's metrics registry (docs/OBSERVABILITY.md
-  // has the catalog). On (default), the engine maintains counters, gauges
-  // and latency histograms for ingest, mining, publication, the WAL and
-  // the verdict path; the cost is a few relaxed atomic increments per
-  // event. Off, every metrics handle is null and the hot paths skip the
-  // updates entirely. Detection output never depends on this switch.
-  bool metrics_enabled = true;
-
-  // Registry the engine records into. Null (default) = the engine creates
-  // a private registry (inspect via StreamEngine::metrics()); set it to
-  // share one surface across engines or with the process-wide
-  // obs::Registry::global(). Ignored when metrics_enabled is false.
+  // Registry the engine records into (docs/OBSERVABILITY.md has the
+  // catalog): counters, gauges and latency histograms for ingest, mining,
+  // publication, the WAL and the verdict path, at a few relaxed atomic
+  // increments per event. Null (default) = the engine creates a private
+  // registry (inspect via StreamEngine::metrics()); set it to share one
+  // surface across engines or with the process-wide
+  // obs::Registry::global().
   std::shared_ptr<obs::Registry> metrics;
 
-  // When non-empty (and metrics are enabled), a background MetricsLogger
-  // appends one JSON line of the full registry every metrics_interval_ms
-  // to `<metrics_dir>/metrics.jsonl` (tools/smash_stats.cc pretty-prints
-  // it). Empty (default) = no periodic logging.
+  // When non-empty, a background MetricsLogger appends the registry's
+  // Prometheus text exposition, headed by a `# ts_unix_ms <ms>` line,
+  // every metrics_interval_ms (and once more at shutdown) to
+  // `<metrics_dir>/metrics.prom`. Empty (default) = no periodic logging.
   std::string metrics_dir;
   std::uint32_t metrics_interval_ms = 10000;
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/components.h"
 
 namespace smash::graph {
 namespace {
@@ -79,25 +78,6 @@ TEST(SubsetDensity, PathAndSmallSets) {
   EXPECT_DOUBLE_EQ(subset_density(g, pair), 1.0);
   const std::vector<std::uint32_t> single{0};
   EXPECT_DOUBLE_EQ(subset_density(g, single), 0.0);
-}
-
-TEST(ConnectedComponents, FindsAll) {
-  GraphBuilder builder(6);
-  builder.add_edge(0, 1);
-  builder.add_edge(1, 2);
-  builder.add_edge(3, 4);
-  // node 5 isolated
-  const Graph g = std::move(builder).build();
-  const auto comps = connected_components(g);
-  EXPECT_EQ(comps.count, 3u);
-  EXPECT_EQ(comps.component_of[0], comps.component_of[2]);
-  EXPECT_EQ(comps.component_of[3], comps.component_of[4]);
-  EXPECT_NE(comps.component_of[0], comps.component_of[3]);
-  EXPECT_NE(comps.component_of[5], comps.component_of[0]);
-  const auto groups = comps.groups();
-  std::size_t total = 0;
-  for (const auto& group : groups) total += group.size();
-  EXPECT_EQ(total, 6u);
 }
 
 }  // namespace

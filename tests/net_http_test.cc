@@ -42,11 +42,6 @@ INSTANTIATE_TEST_SUITE_P(
         UriFileCase{"/dir.with.dots/", ""},           // trailing slash
         UriFileCase{"/x/y.php?q=/fake/path.html", "y.php"}));  // '?' first
 
-TEST(UriPathOnly, StripsQuery) {
-  EXPECT_EQ(uri_path_only("/a/b.php?x=1"), "/a/b.php");
-  EXPECT_EQ(uri_path_only("/a/b.php"), "/a/b.php");
-}
-
 TEST(UriQuery, ExtractsAfterQuestionMark) {
   EXPECT_EQ(uri_query("/x?a=1&b=2"), "a=1&b=2");
   EXPECT_EQ(uri_query("/x"), "");

@@ -1,15 +1,15 @@
 // Observability layer: registry exactness under concurrency, snapshot
-// isolation, histogram bucket semantics, the Prometheus/JSON exporters
-// (golden strings — exporter output is a contract for scrapers), the
-// trace ring (wrap, concurrency, Chrome JSON), the metrics logger, and
-// the StreamEngine/VerdictService integration.
+// isolation, histogram bucket semantics, the Prometheus exporter (golden
+// strings — exporter output is a contract for scrapers), the trace ring
+// (wrap, concurrency, Chrome JSON), the metrics logger, and the
+// StreamEngine/VerdictService integration.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,15 +53,6 @@ bool json_balanced(const std::string& s) {
     }
   }
   return !s.empty() && !in_string && stack.empty();
-}
-
-std::string read_golden(const std::string& file) {
-  const std::string path = std::string(SMASH_GOLDEN_DIR) + "/" + file;
-  std::ifstream in(path);
-  EXPECT_TRUE(in) << "missing golden file " << path;
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  return contents.str();
 }
 
 TEST(Counter, ConcurrentIncrementsSumExactly) {
@@ -214,29 +205,8 @@ TEST(RenderPrometheus, GoldenOutput) {
   EXPECT_EQ(registry.render_prometheus(), expected);
 }
 
-// The expected output is tests/golden/registry.json, which ctest also feeds
-// to smash_stats (CMakeLists.txt), so that fixture cannot drift from the
-// exporter. The last line of tests/golden/metrics.jsonl, smash_stats'
-// MetricsLogger fixture, carries the same registry.
-TEST(RenderJson, GoldenOutput) {
+TEST(RenderPrometheus, EmptyRegistry) {
   Registry registry;
-  registry.counter("a.events_total").inc(3);
-  registry.gauge("b.depth").set(1.5);
-  registry.histogram("c.lat_ms", {1.0, 10.0}).observe(0.5);
-
-  const std::string json = registry.render_json();
-  EXPECT_EQ(json + "\n", read_golden("registry.json"));
-  EXPECT_TRUE(json_balanced(json));
-
-  const std::string jsonl = read_golden("metrics.jsonl");
-  EXPECT_NE(jsonl.find("\"metrics\":" + json + "}\n"), std::string::npos)
-      << jsonl;
-}
-
-TEST(RenderJson, EmptyRegistryIsValid) {
-  Registry registry;
-  EXPECT_EQ(registry.render_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
   EXPECT_EQ(registry.render_prometheus(), "");
 }
 
@@ -346,29 +316,43 @@ TEST_F(TracerTest, ClearDropsEventsKeepsEnabled) {
 
 // --- logger ------------------------------------------------------------------
 
-TEST(MetricsLogger, WritesJsonlLines) {
+TEST(MetricsLogger, AppendsTimestampedPrometheusBlocks) {
   const auto dir = std::filesystem::temp_directory_path() / "smash_obs_logger";
   std::filesystem::remove_all(dir);
   auto registry = std::make_shared<Registry>();
-  registry->counter("test.events_total").inc(12);
-  const std::string path = (dir / "metrics.jsonl").string();
+  registry->counter("test.events_total", "events").inc(12);
+  registry->histogram("test.lat_ms", {1.0, 10.0}).observe(0.5);
+  const std::string path = (dir / "metrics.prom").string();
   {
-    // Long interval: only flush_now() and the final dtor line write.
+    // Long interval: only flush_now() and the final dtor block write.
     MetricsLogger logger(registry, path, std::chrono::milliseconds(60000));
     logger.flush_now();
-    EXPECT_GE(logger.lines_written(), 1u);
+    EXPECT_GE(logger.blocks_written(), 1u);
+    // The shutdown block must carry updates made after the last flush.
+    registry->counter("test.events_total").inc(3);
+    registry->gauge("test.depth").set(2.5);
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
+  const std::string ts_prefix = "# ts_unix_ms ";
+  std::vector<std::string> blocks;
   std::string line;
-  std::size_t lines = 0;
   while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_TRUE(json_balanced(line)) << line;
-    EXPECT_NE(line.find("\"ts_unix_ms\":"), std::string::npos);
-    EXPECT_NE(line.find("\"test.events_total\":12"), std::string::npos);
+    if (line.rfind(ts_prefix, 0) == 0) {
+      EXPECT_GT(std::stoll(line.substr(ts_prefix.size())), 0) << line;
+      blocks.emplace_back();
+      continue;
+    }
+    ASSERT_FALSE(blocks.empty()) << "block without a timestamp: " << line;
+    blocks.back() += line + "\n";
   }
-  EXPECT_GE(lines, 2u);  // flush_now + final dtor snapshot
+  ASSERT_GE(blocks.size(), 2u);  // flush_now + final dtor snapshot
+  EXPECT_NE(blocks.front().find("smash_test_events_total 12\n"),
+            std::string::npos)
+      << blocks.front();
+  // The registry is quiesced: the last block is its exposition, byte for
+  // byte.
+  EXPECT_EQ(blocks.back(), registry->render_prometheus());
   std::filesystem::remove_all(dir);
 }
 
@@ -421,19 +405,34 @@ TEST(EngineMetrics, RegistryReflectsIngestAndPublishes) {
   EXPECT_NE(snap.histogram("pipeline.mine_ms.client"), nullptr);
 }
 
-TEST(EngineMetrics, DisabledMeansNoRegistry) {
+// StreamConfig::metrics_dir: the engine's logger leaves Prometheus blocks
+// behind, the last written at teardown with the final counts.
+TEST(EngineMetrics, MetricsDirKeepsPrometheusHistory) {
+  const auto dir = std::filesystem::temp_directory_path() / "smash_engine_prom";
+  std::filesystem::remove_all(dir);
   whois::Registry whois_db;
   stream::StreamConfig config;
   config.epoch_seconds = 100;
   config.window_epochs = 3;
-  config.metrics_enabled = false;
-
-  stream::StreamEngine engine(config, whois_db);
-  EXPECT_EQ(engine.metrics(), nullptr);
-  engine.ingest(event_at(10, "c1", "a.com"));
-  engine.ingest(event_at(250, "c2", "b.com"));
-  engine.finish();
-  EXPECT_GE(engine.snapshots_published(), 1u);  // detection unaffected
+  config.metrics_dir = dir.string();
+  {
+    stream::StreamEngine engine(config, whois_db);
+    engine.ingest(event_at(10, "c1", "a.com"));
+    engine.ingest(event_at(250, "c2", "b.com"));
+    engine.finish();
+  }
+  std::ifstream in(dir / "metrics.prom");
+  ASSERT_TRUE(in.is_open());
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const auto last = text.rfind("# ts_unix_ms ");
+  ASSERT_NE(last, std::string::npos);
+  const std::string block = text.substr(text.find('\n', last) + 1);
+  EXPECT_NE(block.find("smash_stream_events_total 2\n"), std::string::npos)
+      << block;
+  // The final block is written before the engine detaches its gauge.
+  EXPECT_NE(block.find("smash_stream_snapshot_age_ms "), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineMetrics, SharedRegistryAcrossEngineAndVerdicts) {

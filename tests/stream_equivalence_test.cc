@@ -6,7 +6,9 @@
 // of activation, and unflagged once the window slides past it.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -225,7 +227,9 @@ TEST(AsyncStreamCoalescing, BurstOfClosesSkipsToNewestWindow) {
   config.async_mining = true;
   // Throttle each mine well past the feed time of an epoch, so closes pile
   // up behind the in-flight mine and must coalesce.
-  config.mine_throttle_ms = 150;
+  config.mine_test_hook = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  };
   StreamEngine engine(config, scenario.whois);
   synth::feed(engine, scenario);
   engine.finish();

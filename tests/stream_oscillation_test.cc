@@ -1,10 +1,10 @@
 // The async engine under a swinging load: the offered epoch-close rate
 // follows a sine (stepped in stages, the shape of heyp-agents'
 // GenWorkloadStagesOscillating) whose peak outruns mining, capped
-// deterministically by StreamConfig::mine_throttle_ms. Coalescing must
-// keep every close accounted, the mining queue at most two windows deep,
-// and close-to-publish latency bounded through the overload half of the
-// cycle. The test prints the freshness curve over the cycle.
+// deterministically by a StreamConfig::mine_test_hook that sleeps.
+// Coalescing must keep every close accounted, the mining queue at most two
+// windows deep, and close-to-publish latency bounded through the overload
+// half of the cycle. The test prints the freshness curve over the cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,7 +62,9 @@ TEST(StreamOscillatingLoad, CoalescingBoundsFreshnessAcrossCycle) {
   config.epoch_seconds = kEpochSeconds;
   config.window_epochs = 4;
   config.async_mining = true;
-  config.mine_throttle_ms = kThrottleMs;
+  config.mine_test_hook = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kThrottleMs));
+  };
   config.smash.idf_threshold = 50;
   StreamEngine engine(config, registry);
   const obs::Gauge& depth = engine.metrics()->gauge("stream.mine_queue_depth");
